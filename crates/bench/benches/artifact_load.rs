@@ -106,17 +106,18 @@ fn bench_registry_dispatch(c: &mut Criterion) {
     let mut rng = Prng::seed_from_u64(7);
     let train = gen.sample(2_000, Population::Base, &mut rng);
     let test = gen.sample(1_000, Population::Base, &mut rng);
-    let mut direct = DrpModel::new(DrpConfig {
-        epochs: 3,
-        ..DrpConfig::default()
-    });
+    // Same weights on both sides: the registry method trains from an
+    // identically seeded RNG, then round-trips through its artifact and
+    // loads as a trait object.
+    let mut registry_rng = rng.clone();
+    let mut direct = DrpModel::new(config.rdrp.drp.clone());
     let obs = Obs::disabled();
     direct.fit(&train, &mut rng, &obs).unwrap();
     let via_registry: Box<dyn RoiMethod> = {
+        let mut method = rdrp::build("drp", &config).unwrap();
+        method.fit(&train, &train, &mut registry_rng, &obs).unwrap();
         let path = tmp("dispatch");
-        // Same weights on both sides: round-trip the directly-built
-        // model through its artifact and load it as a trait object.
-        rdrp::persist::Persist::save(&direct, &path).unwrap();
+        rdrp::save_method(method.as_ref(), &path).unwrap();
         let loaded = rdrp::load_method(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         loaded

@@ -15,14 +15,16 @@
 //!    prediction supplied, as the protocol frontends supply it.
 
 use datasets::generator::{Population, RctGenerator};
-use datasets::{CriteoLike, DriftDetector, DriftDetectorConfig, FeatureReference};
+use datasets::{CriteoLike, DriftDetector, DriftDetectorConfig, FeatureReference, RctDataset};
 use linalg::random::Prng;
 use linalg::Matrix;
 use minibench::{criterion_group, criterion_main, Criterion};
 use nn::Workspace;
 use obs::Obs;
-use serve::{BatchScorer, CalibrationMonitor, CalibrationMonitorConfig, ModelRegistry};
+use rdrp::RoiMethod;
+use serve::{CalibrationMonitor, CalibrationMonitorConfig, ModelRegistry};
 use std::sync::Arc;
+use uplift::FitError;
 
 use conformal::{OnlineConformal, OnlineConformalConfig};
 
@@ -74,7 +76,25 @@ struct FlatScorer {
     n_features: usize,
 }
 
-impl BatchScorer for FlatScorer {
+impl RoiMethod for FlatScorer {
+    fn method_name(&self) -> &'static str {
+        "flat"
+    }
+
+    fn label(&self) -> String {
+        "Flat".to_string()
+    }
+
+    fn fit(
+        &mut self,
+        _: &RctDataset,
+        _: &RctDataset,
+        _: &mut Prng,
+        _: &Obs,
+    ) -> Result<(), FitError> {
+        Ok(())
+    }
+
     fn n_features(&self) -> Option<usize> {
         Some(self.n_features)
     }
@@ -83,7 +103,7 @@ impl BatchScorer for FlatScorer {
         true
     }
 
-    fn score(&self, x: &Matrix, _ws: &mut Workspace, _obs: &Obs) -> Vec<f64> {
+    fn scores(&self, x: &Matrix, _ws: &mut Workspace, _obs: &Obs) -> Vec<f64> {
         vec![0.0; x.rows()]
     }
 
@@ -91,10 +111,14 @@ impl BatchScorer for FlatScorer {
         Some(1.0)
     }
 
-    fn recalibrated(&self, _qhat: f64, _n_calibration: usize) -> Option<Arc<dyn BatchScorer>> {
-        Some(Arc::new(FlatScorer {
+    fn with_qhat(&self, _qhat: f64, _n_calibration: usize) -> Option<Box<dyn RoiMethod>> {
+        Some(Box::new(FlatScorer {
             n_features: self.n_features,
         }))
+    }
+
+    fn body_to_json(&self) -> tinyjson::Value {
+        tinyjson::Value::Null
     }
 }
 

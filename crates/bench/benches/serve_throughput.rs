@@ -7,7 +7,7 @@
 //!    through the engine with the micro-batcher on (requests coalesce up
 //!    to `max_batch_rows`) versus off (`max_batch_rows` = request size,
 //!    so every request scores alone). The direct single-batch
-//!    `predict_roi` call is the floor: engine overhead is the gap
+//!    `scores` call is the floor: engine overhead is the gap
 //!    between "coalesced" and "direct".
 //! 2. **Worker scaling** — MC-form rDRP requests (scored per-request,
 //!    never coalesced) across 1, 2, and 4 workers.
@@ -20,44 +20,26 @@ use linalg::random::Prng;
 use linalg::Matrix;
 use minibench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use obs::Obs;
-use rdrp::{DrpConfig, DrpModel, Rdrp, RdrpConfig};
-use serve::{BatchScorer, EngineConfig, ScoringEngine};
+use rdrp::{MethodConfig, RoiMethod};
+use serve::{EngineConfig, ScoringEngine};
 use std::sync::Arc;
 use std::time::Duration;
 
 const REQUEST_ROWS: usize = 4;
 const REQUESTS: usize = 128;
 
-fn fitted_drp() -> DrpModel {
+/// Fits registry method `name` (DRP ignores the calibration set).
+fn fitted(name: &str, seed: u64) -> Arc<dyn RoiMethod> {
     let gen = CriteoLike::new();
-    let mut rng = Prng::seed_from_u64(0);
-    let train = gen.sample(2_000, Population::Base, &mut rng);
-    let mut model = DrpModel::new(DrpConfig {
-        epochs: 3,
-        ..DrpConfig::default()
-    });
-    model.fit(&train, &mut rng, &Obs::disabled()).unwrap();
-    model
-}
-
-fn fitted_rdrp() -> Rdrp {
-    let gen = CriteoLike::new();
-    let mut rng = Prng::seed_from_u64(1);
+    let mut rng = Prng::seed_from_u64(seed);
     let train = gen.sample(2_000, Population::Base, &mut rng);
     let cal = gen.sample(800, Population::Base, &mut rng);
-    let mut model = Rdrp::new(RdrpConfig {
-        drp: DrpConfig {
-            epochs: 3,
-            ..DrpConfig::default()
-        },
-        mc_passes: 8,
-        ..RdrpConfig::default()
-    })
-    .unwrap();
-    model
-        .fit_with_calibration(&train, &cal, &mut rng, &Obs::disabled())
-        .unwrap();
-    model
+    let mut config = MethodConfig::default();
+    config.rdrp.drp.epochs = 3;
+    config.rdrp.mc_passes = 8;
+    let mut model = rdrp::build(name, &config).unwrap();
+    model.fit(&train, &cal, &mut rng, &Obs::disabled()).unwrap();
+    Arc::from(model)
 }
 
 fn request_stream(n_features: usize, rng: &mut Prng) -> Vec<Matrix> {
@@ -71,7 +53,7 @@ fn request_stream(n_features: usize, rng: &mut Prng) -> Vec<Matrix> {
         .collect()
 }
 
-fn drain(engine: &ScoringEngine, scorer: &Arc<dyn BatchScorer>, requests: &[Matrix]) {
+fn drain(engine: &ScoringEngine, scorer: &Arc<dyn RoiMethod>, requests: &[Matrix]) {
     let pending: Vec<_> = requests
         .iter()
         .map(|r| {
@@ -88,9 +70,8 @@ fn drain(engine: &ScoringEngine, scorer: &Arc<dyn BatchScorer>, requests: &[Matr
 /// Rowwise request stream with the micro-batcher on vs off, with the
 /// direct single-batch call as the floor.
 fn bench_microbatch_coalescing(c: &mut Criterion) {
-    let model = fitted_drp();
-    let n = BatchScorer::n_features(&model).unwrap();
-    let scorer: Arc<dyn BatchScorer> = Arc::new(model.clone());
+    let scorer = fitted("drp", 0);
+    let n = scorer.n_features().unwrap();
     let mut rng = Prng::seed_from_u64(2);
     let requests = request_stream(n, &mut rng);
     let all_rows = {
@@ -129,7 +110,7 @@ fn bench_microbatch_coalescing(c: &mut Criterion) {
     }
     let obs = Obs::disabled();
     group.bench_function("direct_single_batch", |b| {
-        b.iter(|| model.predict_roi(&all_rows, &obs))
+        b.iter(|| scorer.scores_fresh(&all_rows, &obs))
     });
     group.finish();
 }
@@ -137,9 +118,8 @@ fn bench_microbatch_coalescing(c: &mut Criterion) {
 /// MC-form rDRP requests (per-request scoring, no coalescing) across
 /// worker counts.
 fn bench_worker_scaling(c: &mut Criterion) {
-    let model = fitted_rdrp();
-    let n = BatchScorer::n_features(&model).unwrap();
-    let scorer: Arc<dyn BatchScorer> = Arc::new(model);
+    let scorer = fitted("rdrp", 1);
+    let n = scorer.n_features().unwrap();
     let mut rng = Prng::seed_from_u64(3);
     let requests: Vec<Matrix> = (0..16)
         .map(|_| {
@@ -172,9 +152,8 @@ fn bench_worker_scaling(c: &mut Criterion) {
 /// The fixed per-request cost: one single-row request, submit to
 /// response.
 fn bench_submission_overhead(c: &mut Criterion) {
-    let model = fitted_drp();
-    let n = BatchScorer::n_features(&model).unwrap();
-    let scorer: Arc<dyn BatchScorer> = Arc::new(model);
+    let scorer = fitted("drp", 0);
+    let n = scorer.n_features().unwrap();
     let mut rng = Prng::seed_from_u64(4);
     let one_row = Matrix::from_rows(&[(0..n).map(|_| rng.gaussian()).collect::<Vec<f64>>()]);
     let engine = ScoringEngine::start(

@@ -60,7 +60,6 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
-use uplift::RoiModel;
 
 /// A CLI failure, bucketed so scripts can branch on the exit code:
 /// `2` = usage/configuration, `3` = data/IO, `4` = training/calibration.
@@ -347,13 +346,7 @@ fn score(a: &ScoreArgs) -> Result<(), CliError> {
 fn evaluate(a: &EvaluateArgs) -> Result<(), CliError> {
     let method = rdrp::load_method(&a.model).map_err(data_err)?;
     let data = read_rct_csv(&a.data, &csv_schema(&a.schema)).map_err(data_err)?;
-    // rDRP keeps its historical evaluation convention (point ROI, not
-    // the calibrated re-ranking); every other method evaluates the same
-    // scores it serves.
-    let scores = match method.as_rdrp() {
-        Some(model) => model.predict_roi(&data.x),
-        None => method.scores_fresh(&data.x, &Obs::disabled()),
-    };
+    let scores = method.scores_fresh(&data.x, &Obs::disabled());
     let aucc = metrics::aucc_checked(&data, &scores, a.bins).ok_or_else(|| {
         CliError::Data(
             "dataset too degenerate to rank (missing group or non-positive uplift)".to_string(),

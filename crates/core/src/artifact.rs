@@ -132,39 +132,6 @@ pub fn decode(v: &Value) -> Result<(String, &Value), PersistError> {
     Ok((method, body))
 }
 
-/// [`decode`] that additionally checks the tag against what the caller
-/// expects (`accept` returns `true` for tags it can load). Used by the
-/// typed [`crate::Persist`] impls so `Rdrp::load` on a DRP artifact is a
-/// [`PersistError::Format`], not a field-level parse error.
-///
-/// # Errors
-/// Everything [`decode`] raises, plus [`PersistError::Format`] when the
-/// tag is not accepted.
-pub fn decode_expecting<'v>(
-    v: &'v Value,
-    expectation: &str,
-    accept: impl Fn(&str) -> bool,
-) -> Result<(String, &'v Value), PersistError> {
-    let (method, body) = decode(v)?;
-    if !accept(&method) {
-        return Err(PersistError::Format(format!(
-            "artifact holds method {method:?}, expected {expectation}"
-        )));
-    }
-    Ok((method, body))
-}
-
-/// Parses a JSON string into `(method tag, body)` via [`decode`].
-///
-/// # Errors
-/// [`PersistError::Serde`] when the string is not JSON,
-/// [`PersistError::Format`] when it is not an envelope.
-pub fn parse(json: &str) -> Result<(String, Value), PersistError> {
-    let v = tinyjson::from_str(json)?;
-    let (method, body) = decode(&v)?;
-    Ok((method, body.clone()))
-}
-
 /// Re-serializes an envelope to the pretty JSON written on disk.
 pub fn render(method: &str, body: Value) -> String {
     tinyjson::to_string_pretty(&encode(method, body))
@@ -276,13 +243,5 @@ mod tests {
     fn rejects_raw_model_json_without_envelope() {
         let bare = Value::Obj(vec![("weights".to_string(), Value::Arr(vec![]))]);
         assert!(matches!(decode(&bare), Err(PersistError::Format(_))));
-    }
-
-    #[test]
-    fn decode_expecting_names_both_tags() {
-        let v = encode("drp", Value::Obj(vec![]));
-        let err = decode_expecting(&v, "\"rdrp\"", |t| t == "rdrp").unwrap_err();
-        assert!(err.to_string().contains("drp"), "{err}");
-        assert!(err.to_string().contains("rdrp"), "{err}");
     }
 }

@@ -10,7 +10,7 @@ use linalg::Matrix;
 use nn::{mc_predict_map, Activation, McStats, Mlp, TrainConfig, Workspace};
 use obs::Obs;
 use uplift::error::{check_both_groups, check_xty};
-use uplift::{FitError, RoiModel};
+use uplift::FitError;
 
 /// Direct ROI Prediction: a one-hidden-layer network scoring `ŝ(x)` whose
 /// sigmoid is an unbiased ROI estimate when the Eq. (2) loss converges.
@@ -54,7 +54,7 @@ impl DrpModel {
     /// (`infer.predict_*` histograms and counters).
     ///
     /// # Panics
-    /// Panics before [`RoiModel::fit`].
+    /// Panics before [`DrpModel::fit`].
     #[allow(clippy::expect_used)] // documented API-misuse panic
     pub fn predict_score(&self, x: &Matrix, obs: &Obs) -> Vec<f64> {
         let state = self.state.as_ref().expect("DrpModel: fit before predict");
@@ -62,10 +62,10 @@ impl DrpModel {
         state.net.predict_scalar(&z, obs)
     }
 
-    /// [`RoiModel::predict_roi`] with batch-inference accounting.
+    /// Point ROI estimates `σ(ŝ(x))`, with batch-inference accounting.
     ///
     /// # Panics
-    /// Panics before [`RoiModel::fit`].
+    /// Panics before [`DrpModel::fit`].
     pub fn predict_roi(&self, x: &Matrix, obs: &Obs) -> Vec<f64> {
         self.predict_score(x, obs)
             .into_iter()
@@ -78,7 +78,7 @@ impl DrpModel {
     /// serving engine's worker threads) call in a loop.
     ///
     /// # Panics
-    /// Panics before [`RoiModel::fit`].
+    /// Panics before [`DrpModel::fit`].
     #[allow(clippy::expect_used)] // documented API-misuse panic
     pub fn predict_roi_with(&self, x: &Matrix, ws: &mut Workspace, obs: &Obs) -> Vec<f64> {
         let state = self.state.as_ref().expect("DrpModel: fit before predict");
@@ -98,7 +98,7 @@ impl DrpModel {
     /// the tolerance contract.
     ///
     /// # Panics
-    /// Panics before [`RoiModel::fit`].
+    /// Panics before [`DrpModel::fit`].
     #[allow(clippy::expect_used)] // documented API-misuse panic
     pub fn predict_roi_block(&self, x: &Matrix, obs: &Obs) -> Vec<f64> {
         let state = self.state.as_ref().expect("DrpModel: fit before predict");
@@ -112,7 +112,7 @@ impl DrpModel {
     }
 
     /// Feature dimension the fitted network consumes, or `None` before
-    /// [`RoiModel::fit`].
+    /// [`DrpModel::fit`].
     pub fn n_features(&self) -> Option<usize> {
         self.state.as_ref().map(|s| s.net.input_dim())
     }
@@ -121,7 +121,7 @@ impl DrpModel {
     /// smoothed point prediction and the std is the paper's `r̂(x)`.
     ///
     /// # Panics
-    /// Panics before [`RoiModel::fit`] or when `passes == 0`.
+    /// Panics before [`DrpModel::fit`] or when `passes == 0`.
     #[allow(clippy::expect_used)] // documented API-misuse panic
     pub fn mc_roi(
         &self,
@@ -143,7 +143,7 @@ impl DrpModel {
     /// (`infer.mc_*` histograms and counters).
     ///
     /// # Panics
-    /// Panics before [`RoiModel::fit`] or when `passes == 0`.
+    /// Panics before [`DrpModel::fit`] or when `passes == 0`.
     #[allow(clippy::expect_used)] // documented API-misuse panic
     pub fn mc_roi_with_rate(
         &self,
@@ -165,15 +165,16 @@ impl DrpModel {
     /// trainer ran for zero epochs.
     ///
     /// # Panics
-    /// Panics before [`RoiModel::fit`].
+    /// Panics before [`DrpModel::fit`].
     #[allow(clippy::expect_used)] // documented API-misuse panic
     pub fn final_loss(&self) -> Option<f64> {
         self.state.as_ref().expect("DrpModel: fit first").final_loss
     }
 
-    /// [`RoiModel::fit`] with the trainer's trace vocabulary
-    /// (`train.epoch` events, divergence/LR-halving retries, final-loss
-    /// gauge — see [`nn::train`]).
+    /// Fits the network on an RCT with the Eq. (2) loss, emitting the
+    /// trainer's trace vocabulary (`train.epoch` events,
+    /// divergence/LR-halving retries, final-loss gauge — see
+    /// [`nn::train`]).
     pub fn fit(&mut self, data: &RctDataset, rng: &mut Prng, obs: &Obs) -> Result<(), FitError> {
         check_xty("DRP", &data.x, &data.t, &data.y_r)?;
         check_xty("DRP", &data.x, &data.t, &data.y_c)?;
@@ -204,20 +205,6 @@ impl DrpModel {
             final_loss: report.final_loss(),
         });
         Ok(())
-    }
-}
-
-impl RoiModel for DrpModel {
-    fn name(&self) -> String {
-        "DRP".to_string()
-    }
-
-    fn fit(&mut self, data: &RctDataset, rng: &mut Prng) -> Result<(), FitError> {
-        DrpModel::fit(self, data, rng, &Obs::disabled())
-    }
-
-    fn predict_roi(&self, x: &Matrix) -> Vec<f64> {
-        DrpModel::predict_roi(self, x, &Obs::disabled())
     }
 }
 

@@ -28,6 +28,7 @@ use crate::persist::PersistError;
 use conformal::Interval;
 use datasets::multi::MultiRctDataset;
 use linalg::random::Prng;
+use linalg::vector::argsort_desc;
 use linalg::Matrix;
 use obs::Obs;
 use std::fmt;
@@ -155,6 +156,37 @@ impl PerArm {
     /// The per-arm inner methods, in arm order (`[0]` serves arm 1).
     pub fn arms(&self) -> &[Box<dyn RoiMethod>] {
         &self.arms
+    }
+
+    /// Cross-arm **comparable** scores for the multiple-choice allocator
+    /// (`(K − 1) × n`), when every arm is a calibrated rDRP; `None`
+    /// otherwise, like [`KArmRoiMethod::interval_matrix`].
+    ///
+    /// Each arm's calibrated rDRP score only ranks *within* that arm:
+    /// arms may select Eq. 5 forms of very different magnitudes (e.g.
+    /// `roi + r̂q̂` vs raw `roi`), so raw scores would let one arm's scale
+    /// monopolize the budget. This quantile-matches: within each arm,
+    /// individuals are ordered by the calibrated score but *valued* by
+    /// the arm's own sorted DRP point-ROI estimates, putting every arm on
+    /// the common (0, 1) ROI scale while preserving rDRP's ranking.
+    ///
+    /// # Panics
+    /// Panics when unfitted.
+    pub fn comparable_score_matrix(&self, x: &Matrix, obs: &Obs) -> Option<Vec<Vec<f64>>> {
+        self.arms
+            .iter()
+            .map(|arm| {
+                let drp = arm.as_rdrp()?.drp();
+                let calibrated = arm.scores_fresh(x, obs);
+                let mut roi_values = drp.predict_roi(x, obs);
+                roi_values.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+                let mut out = vec![0.0; calibrated.len()];
+                for (&i, &value) in argsort_desc(&calibrated).iter().zip(&roi_values) {
+                    out[i] = value;
+                }
+                Some(out)
+            })
+            .collect()
     }
 
     fn check_dataset(&self, role: &str, data: &MultiRctDataset) -> Result<(), FitError> {
@@ -724,6 +756,88 @@ mod tests {
         assert!(plain.interval_matrix(&test.x).is_none());
     }
 
+    /// `PerArm` over `"rdrp"`: the paper's §VI Divide and Conquer, one
+    /// calibrated rDRP per treatment arm.
+    fn rdrp_per_arm(n_arms: u8, config: &MethodConfig) -> PerArm {
+        let arms = (1..n_arms)
+            .map(|_| methods::build("rdrp", config))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        PerArm::new("rdrp", arms).unwrap()
+    }
+
+    #[test]
+    fn divide_and_conquer_end_to_end() {
+        let gen = MultiCouponGenerator::new(2);
+        let mut rng = Prng::seed_from_u64(0);
+        let train = gen.sample(6000, Population::Base, &mut rng);
+        let calib = gen.sample(2500, Population::Base, &mut rng);
+        let test = gen.sample(2000, Population::Base, &mut rng);
+        let mut config = MethodConfig::default();
+        config.rdrp.drp.epochs = 10;
+        config.rdrp.mc_passes = 15;
+        let mut dc = rdrp_per_arm(3, &config);
+        dc.fit(&train, &calib, &mut rng, &Obs::disabled()).unwrap();
+        let scores = dc.score_matrix(&test.x, &Obs::disabled());
+        assert_eq!(scores.len(), 2);
+        assert_eq!(scores[0].len(), test.len());
+        assert!(scores.iter().flatten().all(|s| s.is_finite()));
+
+        // Allocate against ground-truth costs and check value vs random.
+        let costs = test.true_tau_c.clone().unwrap();
+        let values = test.true_tau_r.clone().unwrap();
+        let budget = 0.2 * costs[0].iter().sum::<f64>();
+        let captured = |scores: &[Vec<f64>]| {
+            let alloc = crate::mckp::mckp_allocate(scores, &costs, budget).unwrap();
+            assert!(alloc.spent <= budget);
+            crate::mckp::multi_allocation_value(&alloc, &values)
+        };
+        let rand_scores: Vec<Vec<f64>> = (0..2)
+            .map(|_| (0..test.len()).map(|_| rng.uniform()).collect())
+            .collect();
+        let (dc_value, rand_value) = (captured(&scores), captured(&rand_scores));
+        assert!(
+            dc_value > rand_value * 0.9,
+            "D&C {dc_value} vs random {rand_value}"
+        );
+    }
+
+    #[test]
+    fn comparable_scores_live_on_common_roi_scale() {
+        let gen = MultiCouponGenerator::new(3);
+        let mut rng = Prng::seed_from_u64(9);
+        let train = gen.sample(5000, Population::Base, &mut rng);
+        let calib = gen.sample(2000, Population::Base, &mut rng);
+        let test = gen.sample(1000, Population::Base, &mut rng);
+        let mut config = MethodConfig::default();
+        config.rdrp.drp.epochs = 8;
+        config.rdrp.mc_passes = 10;
+        let mut dc = rdrp_per_arm(4, &config);
+        dc.fit(&train, &calib, &mut rng, &Obs::disabled()).unwrap();
+        let comparable = dc
+            .comparable_score_matrix(&test.x, &Obs::disabled())
+            .unwrap();
+        // All arms' scores live in (0, 1) — the common ROI scale.
+        for (k, arm_scores) in comparable.iter().enumerate() {
+            assert!(
+                arm_scores.iter().all(|&s| (0.0..=1.0).contains(&s)),
+                "arm {k} escaped (0,1)"
+            );
+        }
+        // Quantile matching preserves each arm's calibrated ranking.
+        let raw = dc.score_matrix(&test.x, &Obs::disabled());
+        for k in 0..3 {
+            let a = argsort_desc(&raw[k]);
+            let b = argsort_desc(&comparable[k]);
+            assert_eq!(a, b, "arm {k} ranking changed");
+        }
+        // Arms without a calibrated rDRP have no common scale to offer.
+        let plain = PerArm::new("drp", vec![methods::build("drp", &config).unwrap()]).unwrap();
+        assert!(plain
+            .comparable_score_matrix(&test.x, &Obs::disabled())
+            .is_none());
+    }
+
     #[test]
     fn fit_rejects_arm_count_mismatch() {
         let gen = MultiCouponGenerator::new(2);
@@ -741,6 +855,20 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_arms_is_a_typed_error() {
+        // The train set fits the method; the calibration set does not.
+        let mut rng = Prng::seed_from_u64(1);
+        let train = MultiCouponGenerator::new(3).sample(500, Population::Base, &mut rng);
+        let calib = MultiCouponGenerator::new(2).sample(500, Population::Base, &mut rng);
+        let mut dc = rdrp_per_arm(4, &config());
+        let err = dc
+            .fit(&train, &calib, &mut rng, &Obs::disabled())
+            .unwrap_err();
+        assert!(matches!(err, FitError::InvalidData(_)), "{err:?}");
+        assert!(err.to_string().contains("calibration has 3 arms"), "{err}");
+    }
+
+    #[test]
     fn unknown_name_and_bad_arm_count_are_config_errors() {
         let err = build_karm("spaghetti-forest", 3, &config()).unwrap_err();
         let msg = err.to_string();
@@ -748,6 +876,8 @@ mod tests {
         assert!(msg.contains("karm-tpm-sl"), "{msg}");
         assert!(msg.contains("tpm-sl"), "{msg}");
         let err = build_karm("tpm-sl", 1, &config()).unwrap_err();
+        assert!(matches!(err, PipelineError::Config(_)), "{err:?}");
+        let err = PerArm::new("tpm-sl", Vec::new()).unwrap_err();
         assert!(matches!(err, PipelineError::Config(_)), "{err:?}");
     }
 

@@ -69,7 +69,6 @@ pub mod karm;
 pub mod loss;
 pub mod mckp;
 pub mod methods;
-pub mod multi;
 pub mod persist;
 pub mod rdrp;
 pub mod search;
@@ -88,9 +87,6 @@ pub use karm::{
 pub use loss::DrpObjective;
 pub use mckp::{mckp_allocate, multi_allocation_value, MultiAllocation};
 pub use methods::{build, load_method, method_names, save_method, MethodConfig, RoiMethod};
-#[allow(deprecated)]
-pub use multi::greedy_allocate_multi;
-pub use multi::DivideAndConquerRdrp;
-pub use persist::{atomic_write_artifact, Persist, PersistError};
+pub use persist::{atomic_write_artifact, PersistError};
 pub use rdrp::{Rdrp, RdrpDiagnostics, SCORING_SEED};
 pub use search::{find_roi_star, SearchError};

@@ -31,9 +31,8 @@
 //! which restores the classic 1/2-approximation bound
 //! (`greedy + best_single ≥ LP optimum ≥ ILP optimum`).
 //!
-//! Unlike the pre-refactor pair-greedy (see [`crate::multi`]'s deprecated
-//! shim), zero-cost arms are legal here — they dominate control and are
-//! assigned before any budget is spent.
+//! Zero-cost arms are legal — they dominate control and are assigned
+//! before any budget is spent.
 
 use crate::error::PipelineError;
 
@@ -335,6 +334,29 @@ mod tests {
         let zero = mckp_allocate(&scores, &costs, 0.0).unwrap();
         assert_eq!(zero.n_treated, 0);
         assert_eq!(zero.spent, 0.0);
+    }
+
+    #[test]
+    fn allocator_prefers_efficient_steps_and_respects_budget() {
+        // Two arms, three individuals. Individual 1's only frontier step
+        // is 0 → arm 2 at efficiency 0.7/2 = 0.35, which loses to both
+        // cost-1 steps (0.9 and 0.5) and then no longer fits: spending 2
+        // on 0.7 is worse than 1 on 0.5.
+        let scores = vec![vec![0.9, 0.1, 0.5], vec![0.8, 0.7, 0.2]];
+        let costs = vec![vec![1.0, 1.0, 1.0], vec![2.0, 2.0, 2.0]];
+        let alloc = mckp_allocate(&scores, &costs, 3.0).unwrap();
+        assert_eq!(alloc.assigned, vec![Some(1), None, Some(1)]);
+        assert_eq!(alloc.spent, 2.0);
+        assert_eq!(alloc.n_treated, 2);
+    }
+
+    #[test]
+    fn skip_rule_fills_budget_past_expensive_pairs() {
+        let scores = vec![vec![0.9, 0.5]];
+        let costs = vec![vec![10.0, 1.0]];
+        // The best-scoring step does not fit; the next one does.
+        let alloc = mckp_allocate(&scores, &costs, 1.5).unwrap();
+        assert_eq!(alloc.assigned, vec![None, Some(1)]);
     }
 
     #[test]

@@ -34,17 +34,19 @@ use obs::Obs;
 use std::fmt;
 use std::path::Path;
 use tinyjson::{FromJson, JsonError, ToJson, Value};
-use uplift::{DirectRank, FitError, NetConfig, RoiModel, Tpm};
+use uplift::{DirectRank, FitError, NetConfig, Tpm};
 
 /// One ROI-ranking method of the paper's evaluation, behind a uniform
-/// fit/score/persist surface.
+/// fit/score/persist surface — the one scorer interface the harness,
+/// the CLI, and the serving engine all batch over.
 ///
 /// Object-safe on purpose: the harness holds `Box<dyn RoiMethod>`, the
-/// serving layer `Arc<Box<dyn RoiMethod>>`. The contract mirrors
-/// `serve`'s `BatchScorer`: [`RoiMethod::scores`] is a pure function of
+/// serving layer `Arc<dyn RoiMethod>`. The contract the serving
+/// micro-batcher relies on: [`RoiMethod::scores`] is a pure function of
 /// the fitted state and `x` (MC sweeps re-seed from [`SCORING_SEED`]),
-/// and [`RoiMethod::rowwise`] tells a batcher whether rows from
-/// different requests may be coalesced.
+/// whichever worker thread runs it, and [`RoiMethod::rowwise`] tells a
+/// batcher whether rows from different requests may be coalesced into
+/// one call and split again.
 pub trait RoiMethod: Send + Sync + fmt::Debug {
     /// Registry name, which is also the artifact tag (e.g. `"tpm-sl"`).
     fn method_name(&self) -> &'static str;
@@ -67,7 +69,9 @@ pub trait RoiMethod: Send + Sync + fmt::Debug {
 
     /// Whether the method has been fitted (a loaded artifact of a fitted
     /// model counts).
-    fn is_fitted(&self) -> bool;
+    fn is_fitted(&self) -> bool {
+        self.n_features().is_some()
+    }
 
     /// Feature dimension the fitted method consumes, `None` before
     /// fitting.
@@ -121,6 +125,14 @@ pub trait RoiMethod: Send + Sync + fmt::Debug {
     /// and degraded-mode warnings that only rDRP has.
     fn as_rdrp(&self) -> Option<&Rdrp> {
         None
+    }
+
+    /// The conformal quantile `q̂` this method scores with, when it has
+    /// a conformal stage — the handle the serving layer's online
+    /// calibration monitor keys on. `None` for uncalibrated methods
+    /// (nothing to recalibrate) and before fitting.
+    fn qhat(&self) -> Option<f64> {
+        self.as_rdrp().and_then(Rdrp::qhat)
     }
 
     /// A copy of this method with its conformal quantile replaced — the
@@ -424,10 +436,6 @@ impl RoiMethod for TpmMethod {
         self.model.fit(train, rng)
     }
 
-    fn is_fitted(&self) -> bool {
-        self.model.n_features().is_some()
-    }
-
     fn n_features(&self) -> Option<usize> {
         self.model.n_features()
     }
@@ -509,10 +517,6 @@ impl RoiMethod for DrMethod {
         _obs: &Obs,
     ) -> Result<(), FitError> {
         self.model.fit(train, rng)
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.model.n_features().is_some()
     }
 
     fn n_features(&self) -> Option<usize> {
@@ -625,10 +629,6 @@ impl RoiMethod for DrpMethod {
         self.model.fit(train, rng, obs)
     }
 
-    fn is_fitted(&self) -> bool {
-        self.model.n_features().is_some()
-    }
-
     fn n_features(&self) -> Option<usize> {
         self.model.n_features()
     }
@@ -710,10 +710,6 @@ impl RoiMethod for RdrpMethod {
     ) -> Result<(), FitError> {
         self.model
             .fit_with_calibration(train, calibration, rng, obs)
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.model.n_features().is_some()
     }
 
     fn n_features(&self) -> Option<usize> {
@@ -800,10 +796,6 @@ impl RoiMethod for BootstrapDrpMethod {
         _obs: &Obs,
     ) -> Result<(), FitError> {
         self.model.fit(train, rng)
-    }
-
-    fn is_fitted(&self) -> bool {
-        !self.model.is_empty()
     }
 
     fn n_features(&self) -> Option<usize> {

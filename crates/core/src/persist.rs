@@ -8,21 +8,16 @@
 //! this boundary.
 //!
 //! Every file is a [`crate::artifact`] envelope: a `format_version`, a
-//! `method` tag, and the model body. The [`Persist`] trait is the typed
-//! entry point (`Model::save(path)` / `Model::load(path)` checks the tag
-//! matches the type); [`crate::methods::load_method`] is the dynamic one
-//! (any tag, dispatched through the registry).
+//! `method` tag, and the model body. [`crate::methods::save_method`] and
+//! [`crate::methods::load_method`] are the entry points (any tag,
+//! dispatched through the registry); both go through the crash-safe
+//! write and the chaos-aware read of this module.
 
-use crate::artifact;
-use crate::bootstrap_uq::BootstrapDrp;
-use crate::drp::DrpModel;
-use crate::rdrp::Rdrp;
 use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use tinyjson::{FromJson, ToJson};
-use uplift::{DirectRank, Tpm};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Errors from saving/loading models.
 #[derive(Debug)]
@@ -74,34 +69,6 @@ impl From<tinyjson::JsonError> for PersistError {
     }
 }
 
-/// Versioned-artifact file persistence for trained models.
-///
-/// Implementors roundtrip bit-for-bit: `T::load(p)` after `m.save(p)`
-/// yields a model whose predictions equal `m`'s exactly (the JSON float
-/// encoder is shortest-roundtrip). The file is an artifact envelope;
-/// `load` rejects files whose method tag belongs to a different type
-/// with [`PersistError::Format`] instead of half-parsing them.
-pub trait Persist: Sized {
-    /// Writes the model (trained or not) as a pretty-JSON artifact, via
-    /// the crash-safe [`atomic_write_artifact`] path: a failed or
-    /// interrupted save leaves any previous artifact at `path` intact.
-    ///
-    /// # Errors
-    /// [`PersistError::Io`] when the file cannot be written.
-    fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError>;
-
-    /// Reads a model previously written by [`Persist::save`].
-    ///
-    /// # Errors
-    /// [`PersistError::Io`] when the file cannot be read,
-    /// [`PersistError::Serde`] when its contents do not parse as this
-    /// model type, [`PersistError::Format`] when the file is not an
-    /// artifact or carries another model's tag, and
-    /// [`PersistError::Checksum`] when the envelope's integrity stamp
-    /// does not match the body.
-    fn load(path: impl AsRef<Path>) -> Result<Self, PersistError>;
-}
-
 /// Writes an artifact crash-safely: the bytes go to a temp sibling in
 /// the same directory, are flushed with `sync_all`, and the temp file is
 /// atomically renamed over the destination. An interrupted save leaves
@@ -131,14 +98,17 @@ pub fn atomic_write_artifact(path: impl AsRef<Path>, contents: &str) -> Result<(
     Ok(())
 }
 
-// The temp name carries the pid so concurrent processes saving to the
-// same destination stage through distinct siblings.
+// The temp name carries the pid and a process-wide counter, so every
+// save — from another process or another thread of this one — stages
+// through its own sibling and renames only bytes it wrote itself.
 fn tmp_sibling(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
         .unwrap_or_else(|| "artifact".into());
-    name.push(format!(".tmp.{}", std::process::id()));
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    name.push(format!(".tmp.{}.{n}", std::process::id()));
     path.with_file_name(name)
 }
 
@@ -192,181 +162,93 @@ pub(crate) fn read_artifact(path: impl AsRef<Path>) -> Result<String, PersistErr
         .map_err(|e| PersistError::Format(format!("artifact is not UTF-8: {e}")))
 }
 
-/// Reads `path` and unwraps its envelope, accepting tags per `accept`.
-fn read_body(
-    path: impl AsRef<Path>,
-    expectation: &str,
-    accept: impl Fn(&str) -> bool,
-) -> Result<tinyjson::Value, PersistError> {
-    let v = tinyjson::from_str(&read_artifact(path)?)?;
-    let (_, body) = artifact::decode_expecting(&v, expectation, accept)?;
-    Ok(body.clone())
-}
-
-impl Persist for Rdrp {
-    fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        atomic_write_artifact(path, &artifact::render("rdrp", self.to_json()))
-    }
-
-    fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        Ok(Rdrp::from_json(&read_body(path, "\"rdrp\"", |t| {
-            t == "rdrp"
-        })?)?)
-    }
-}
-
-impl Persist for DrpModel {
-    fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        atomic_write_artifact(path, &artifact::render("drp", self.to_json()))
-    }
-
-    fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        Ok(DrpModel::from_json(&read_body(path, "\"drp\"", |t| {
-            t == "drp"
-        })?)?)
-    }
-}
-
-impl Persist for Tpm {
-    /// Tag is `tpm-<lowercase label>` (e.g. `tpm-sl`, `tpm-dragonnet`),
-    /// matching the registry names of `crate::methods`.
-    fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        let tag = format!("tpm-{}", self.label().to_lowercase());
-        atomic_write_artifact(path, &artifact::render(&tag, self.to_json()))
-    }
-
-    /// Accepts any `tpm-*` artifact; the body's label says which variant.
-    fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        Ok(Tpm::from_json(&read_body(path, "a \"tpm-*\" tag", |t| {
-            t.starts_with("tpm-")
-        })?)?)
-    }
-}
-
-impl Persist for DirectRank {
-    fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        atomic_write_artifact(path, &artifact::render("dr", self.to_json()))
-    }
-
-    fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        Ok(DirectRank::from_json(&read_body(path, "\"dr\"", |t| {
-            t == "dr"
-        })?)?)
-    }
-}
-
-impl Persist for BootstrapDrp {
-    /// The canonical `bootstrap-drp` body is `{model, std_floor}` — the
-    /// std floor is a scoring-time parameter carried by the artifact,
-    /// not by the ensemble itself, so this impl writes the default floor
-    /// and ignores the field on load. `crate::methods` round-trips it.
-    fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        let body = tinyjson::Value::Obj(vec![
-            ("model".to_string(), self.to_json()),
-            (
-                "std_floor".to_string(),
-                crate::config::RdrpConfig::default().std_floor.to_json(),
-            ),
-        ]);
-        atomic_write_artifact(path, &artifact::render("bootstrap-drp", body))
-    }
-
-    fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        let body = read_body(path, "\"bootstrap-drp\"", |t| t == "bootstrap-drp")?;
-        Ok(BootstrapDrp::from_json(body.fetch("model"))?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DrpConfig, RdrpConfig};
-    use datasets::generator::{Population, RctGenerator};
-    use datasets::CriteoLike;
-    use linalg::random::Prng;
+    use crate::artifact;
+    use crate::methods::{build, load_method, save_method, MethodConfig, RoiMethod};
     use obs::Obs;
-    use uplift::RoiModel;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("rdrp_persist_{name}_{}.json", std::process::id()))
     }
 
-    #[test]
-    fn drp_roundtrips_with_identical_predictions() {
-        let gen = CriteoLike::new();
-        let mut rng = Prng::seed_from_u64(0);
-        let train = gen.sample(1500, Population::Base, &mut rng);
-        let test = gen.sample(200, Population::Base, &mut rng);
-        let mut model = DrpModel::new(DrpConfig {
-            epochs: 5,
-            ..DrpConfig::default()
-        });
-        model.fit(&train, &mut rng, &Obs::disabled()).unwrap();
-        let path = tmp("drp");
-        model.save(&path).unwrap();
-        let loaded = DrpModel::load(&path).unwrap();
-        assert_eq!(
-            model.predict_roi(&test.x, &Obs::disabled()),
-            loaded.predict_roi(&test.x, &Obs::disabled())
-        );
-        let _ = std::fs::remove_file(path);
+    fn unfitted_drp(epochs: usize) -> Box<dyn RoiMethod> {
+        let mut config = MethodConfig::default();
+        config.rdrp.drp.epochs = epochs;
+        build("drp", &config).unwrap()
     }
 
-    #[test]
-    fn rdrp_roundtrips_with_identical_scores_and_diagnostics() {
-        let gen = CriteoLike::new();
-        let mut rng = Prng::seed_from_u64(1);
-        let train = gen.sample(2500, Population::Base, &mut rng);
-        let cal = gen.sample(1200, Population::Base, &mut rng);
-        let test = gen.sample(200, Population::Base, &mut rng);
-        let mut model = Rdrp::new(RdrpConfig {
-            drp: DrpConfig {
-                epochs: 5,
-                ..DrpConfig::default()
-            },
-            mc_passes: 10,
-            ..RdrpConfig::default()
-        })
-        .unwrap();
-        model
-            .fit_with_calibration(&train, &cal, &mut rng, &Obs::disabled())
-            .unwrap();
-        let path = tmp("rdrp");
-        model.save(&path).unwrap();
-        let loaded = Rdrp::load(&path).unwrap();
-        assert_eq!(model.predict_roi(&test.x), loaded.predict_roi(&test.x));
-        assert_eq!(model.diagnostics().qhat, loaded.diagnostics().qhat);
-        assert_eq!(
-            model.diagnostics().selected_form,
-            loaded.diagnostics().selected_form
-        );
-        let _ = std::fs::remove_file(path);
+    /// Staged `<name>.tmp.*` siblings of `path` still on disk.
+    fn leftover_temps(path: &Path) -> Vec<PathBuf> {
+        let prefix = format!("{}.tmp.", path.file_name().unwrap().to_string_lossy());
+        fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with(&prefix)
+            })
+            .collect()
     }
 
     #[test]
     fn interrupted_save_leaves_previous_artifact_intact() {
         let path = tmp("atomic");
-        let model = DrpModel::new(DrpConfig::default());
-        model.save(&path).unwrap();
+        let model = unfitted_drp(1);
+        save_method(model.as_ref(), &path).unwrap();
 
         for point in ["persist.write", "persist.fsync", "persist.rename"] {
             let plan =
                 chaos::FaultPlan::new().fail(point, chaos::Trigger::Nth(1), chaos::FaultKind::Io);
             let _guard = chaos::install(chaos::Chaos::new(plan, Obs::disabled()));
-            let err = model.save(&path).unwrap_err();
+            let err = save_method(model.as_ref(), &path).unwrap_err();
             assert!(matches!(err, PersistError::Io(_)), "{point}: {err:?}");
             // The old artifact survives the failed save, checksum and all.
-            DrpModel::load(&path).unwrap_or_else(|e| panic!("{point}: {e}"));
+            load_method(&path).unwrap_or_else(|e| panic!("{point}: {e}"));
         }
         // No staged temp files left behind.
-        assert!(!tmp_sibling(&path).exists());
-        let _ = std::fs::remove_file(path);
+        assert_eq!(leftover_temps(&path), Vec::<PathBuf>::new());
+        let _ = fs::remove_file(path);
+    }
+
+    /// Eight threads saving different models to one destination: each
+    /// save stages through its own temp sibling, so the survivor is one
+    /// writer's complete artifact — never a mix, never a failed rename.
+    #[test]
+    fn concurrent_saves_to_one_path_leave_one_writers_artifact() {
+        let path = tmp("concurrent");
+        let models: Vec<_> = (1..=8).map(unfitted_drp).collect();
+        let barrier = std::sync::Barrier::new(models.len());
+        std::thread::scope(|s| {
+            for m in &models {
+                let (path, barrier) = (&path, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for _ in 0..25 {
+                        save_method(m.as_ref(), path).unwrap();
+                    }
+                });
+            }
+        });
+        load_method(&path).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(
+            models
+                .iter()
+                .any(|m| artifact::render(m.method_name(), m.body_to_json()) == text),
+            "the surviving artifact is no single writer's rendering"
+        );
+        assert_eq!(leftover_temps(&path), Vec::<PathBuf>::new());
+        let _ = fs::remove_file(path);
     }
 
     #[test]
     fn chaos_read_faults_surface_as_typed_errors() {
         let path = tmp("readfault");
-        DrpModel::new(DrpConfig::default()).save(&path).unwrap();
+        save_method(unfitted_drp(1).as_ref(), &path).unwrap();
         let plan = chaos::FaultPlan::new()
             .fail("persist.read", chaos::Trigger::Nth(1), chaos::FaultKind::Io)
             .fail(
@@ -375,18 +257,18 @@ mod tests {
                 chaos::FaultKind::Truncate(40),
             );
         let _guard = chaos::install(chaos::Chaos::new(plan, Obs::disabled()));
-        assert!(matches!(DrpModel::load(&path), Err(PersistError::Io(_))));
+        assert!(matches!(load_method(&path), Err(PersistError::Io(_))));
         // A 40-byte prefix of the envelope is unparseable JSON.
-        assert!(matches!(DrpModel::load(&path), Err(PersistError::Serde(_))));
+        assert!(matches!(load_method(&path), Err(PersistError::Serde(_))));
         // Hit 3: no rule, the artifact loads normally again.
-        DrpModel::load(&path).unwrap();
-        let _ = std::fs::remove_file(path);
+        load_method(&path).unwrap();
+        let _ = fs::remove_file(path);
     }
 
     #[test]
     fn load_missing_file_errors() {
         assert!(matches!(
-            DrpModel::load("/nonexistent/rdrp_model.json"),
+            load_method("/nonexistent/rdrp_model.json"),
             Err(PersistError::Io(_))
         ));
     }
@@ -394,67 +276,18 @@ mod tests {
     #[test]
     fn load_garbage_errors() {
         let path = tmp("garbage");
-        std::fs::write(&path, "not json at all").unwrap();
-        assert!(matches!(Rdrp::load(&path), Err(PersistError::Serde(_))));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn typed_load_rejects_other_methods_artifact() {
-        let model = DrpModel::new(DrpConfig::default());
-        let path = tmp("mismatch");
-        model.save(&path).unwrap();
-        let err = Rdrp::load(&path).unwrap_err();
-        assert!(matches!(err, PersistError::Format(_)), "{err:?}");
-        assert!(err.to_string().contains("rdrp"), "{err}");
-        let _ = std::fs::remove_file(path);
+        fs::write(&path, "not json at all").unwrap();
+        assert!(matches!(load_method(&path), Err(PersistError::Serde(_))));
+        let _ = fs::remove_file(path);
     }
 
     #[test]
     fn raw_pre_envelope_json_is_a_format_error() {
-        let model = DrpModel::new(DrpConfig::default());
+        let model = unfitted_drp(1);
         let path = tmp("preenvelope");
         // What the pre-artifact format used to write: the bare body.
-        std::fs::write(&path, tinyjson::to_string_pretty(&model.to_json())).unwrap();
-        assert!(matches!(
-            DrpModel::load(&path),
-            Err(PersistError::Format(_))
-        ));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn tpm_roundtrips_with_identical_predictions() {
-        let gen = CriteoLike::new();
-        let mut rng = Prng::seed_from_u64(3);
-        let train = gen.sample(1500, Population::Base, &mut rng);
-        let test = gen.sample(150, Population::Base, &mut rng);
-        let mut model = Tpm::xlearner();
-        model.fit(&train, &mut rng).unwrap();
-        let path = tmp("tpm");
-        model.save(&path).unwrap();
-        let loaded = Tpm::load(&path).unwrap();
-        assert_eq!(loaded.label(), "XL");
-        assert_eq!(loaded.n_features(), Some(test.x.cols()));
-        assert_eq!(model.predict_roi(&test.x), loaded.predict_roi(&test.x));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn direct_rank_roundtrips_with_identical_predictions() {
-        let gen = CriteoLike::new();
-        let mut rng = Prng::seed_from_u64(4);
-        let train = gen.sample(1200, Population::Base, &mut rng);
-        let test = gen.sample(100, Population::Base, &mut rng);
-        let mut model = DirectRank::new(uplift::NetConfig {
-            epochs: 4,
-            ..uplift::NetConfig::default()
-        });
-        model.fit(&train, &mut rng).unwrap();
-        let path = tmp("dr");
-        model.save(&path).unwrap();
-        let loaded = DirectRank::load(&path).unwrap();
-        assert_eq!(model.predict_roi(&test.x), loaded.predict_roi(&test.x));
-        let _ = std::fs::remove_file(path);
+        fs::write(&path, tinyjson::to_string_pretty(&model.body_to_json())).unwrap();
+        assert!(matches!(load_method(&path), Err(PersistError::Format(_))));
+        let _ = fs::remove_file(path);
     }
 }

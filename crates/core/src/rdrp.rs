@@ -23,7 +23,7 @@ use linalg::random::Prng;
 use linalg::Matrix;
 use nn::Workspace;
 use obs::Obs;
-use uplift::{FitError, RoiModel};
+use uplift::FitError;
 
 /// What the calibration phase produced (inspectable diagnostics).
 #[derive(Debug, Clone)]
@@ -56,7 +56,7 @@ tinyjson::json_struct!(RdrpDiagnostics {
 });
 
 /// The fixed RNG seed deterministic scoring paths use for their
-/// MC-dropout passes: [`RoiModel::predict_roi`] on a fitted [`Rdrp`], the
+/// MC-dropout passes: [`crate::RoiMethod::scores`] on a fitted rDRP, the
 /// CLI `score`/`serve` subcommands, and the serving engine. Scoring a
 /// fitted model must be a pure function of the inputs, so every replay
 /// path seeds from this constant.
@@ -176,7 +176,7 @@ pub struct Rdrp {
     config: RdrpConfig,
     drp: DrpModel,
     state: Option<Calibrated>,
-    /// Internal calibration fraction used by the [`RoiModel::fit`]
+    /// Internal calibration fraction used by the [`Rdrp::fit`]
     /// convenience path (which has no separate calibration set).
     internal_calib_fraction: f64,
 }
@@ -489,7 +489,7 @@ impl Rdrp {
     /// Calibrated ranking scores on test points — Algorithm 4 line 12.
     ///
     /// Takes an explicit RNG so the MC-dropout passes are reproducible;
-    /// [`RoiModel::predict_roi`] wraps this with the fixed
+    /// [`crate::RoiMethod::scores`] wraps this with the fixed
     /// [`SCORING_SEED`]. Batch-inference accounting goes through `obs`:
     /// the point-estimate pass records `infer.predict_*` and, when the
     /// selected form needs interval widths, the MC sweep records
@@ -585,12 +585,6 @@ impl Rdrp {
         });
         Some(swapped)
     }
-}
-
-impl RoiModel for Rdrp {
-    fn name(&self) -> String {
-        "rDRP".to_string()
-    }
 
     /// Convenience fit when no separate calibration RCT exists: holds out
     /// `internal_calib_fraction` of `data` (default 20%) as the
@@ -598,7 +592,7 @@ impl RoiModel for Rdrp {
     /// [`Rdrp::fit_with_calibration`] with a *fresh* RCT matching the
     /// deployment distribution — that freshness is the entire point of
     /// the method under covariate shift.
-    fn fit(&mut self, data: &RctDataset, rng: &mut Prng) -> Result<(), FitError> {
+    pub fn fit(&mut self, data: &RctDataset, rng: &mut Prng) -> Result<(), FitError> {
         if data.len() < 10 {
             return Err(FitError::InvalidData(format!(
                 "rDRP: dataset of {} rows is too small to split for internal calibration",
@@ -612,12 +606,6 @@ impl RoiModel for Rdrp {
         let train = data.subset(&order[n_cal..]);
         self.fit_with_calibration(&train, &calibration, rng, &Obs::disabled())
     }
-
-    fn predict_roi(&self, x: &Matrix) -> Vec<f64> {
-        // Fixed seed: scoring must be deterministic for a fitted model.
-        let mut rng = Prng::seed_from_u64(SCORING_SEED);
-        self.predict_scores(x, &mut rng, &Obs::disabled())
-    }
 }
 
 #[cfg(test)]
@@ -626,6 +614,11 @@ mod tests {
     use crate::search::find_roi_star;
     use datasets::generator::{Population, RctGenerator};
     use datasets::{CriteoLike, ExperimentData, Setting, SettingSizes};
+
+    /// Scores at the fixed serving seed, as `RdrpMethod::scores` does.
+    fn scores(m: &Rdrp, x: &Matrix) -> Vec<f64> {
+        m.predict_scores(x, &mut Prng::seed_from_u64(SCORING_SEED), &Obs::disabled())
+    }
 
     fn small_config() -> RdrpConfig {
         RdrpConfig {
@@ -657,7 +650,7 @@ mod tests {
         assert!(d.qhat > 0.0 && d.qhat.is_finite());
         assert_eq!(d.form_auccs.len(), 3); // paired improvements for 5a/5b/5c
         assert_eq!(d.n_calibration, 2000);
-        let scores = m.predict_roi(&test.x);
+        let scores = scores(&m, &test.x);
         assert_eq!(scores.len(), 2000);
         assert!(scores.iter().all(|s| s.is_finite()));
     }
@@ -703,7 +696,7 @@ mod tests {
             let mut m = Rdrp::new(small_config()).unwrap();
             m.fit_with_calibration(&data.train, &data.calibration, &mut rng, &Obs::disabled())
                 .unwrap();
-            let rdrp_scores = m.predict_roi(&data.test.x);
+            let rdrp_scores = scores(&m, &data.test.x);
             let drp_scores = m.drp().predict_roi(&data.test.x, &Obs::disabled());
             let a_rdrp = metrics::aucc_from_labels(&data.test, &rdrp_scores, 50);
             let a_drp = metrics::aucc_from_labels(&data.test, &drp_scores, 50);
@@ -735,7 +728,7 @@ mod tests {
         // Predictions equal plain DRP.
         let test = gen.sample(200, Population::Base, &mut rng);
         assert_eq!(
-            m.predict_roi(&test.x),
+            scores(&m, &test.x),
             m.drp().predict_roi(&test.x, &Obs::disabled())
         );
     }
@@ -766,7 +759,7 @@ mod tests {
         // roi* and q̂ are still real — only the form degraded.
         assert!(d.roi_star.is_some());
         assert!(d.qhat.is_finite());
-        let scores = m.predict_roi(&test.x);
+        let scores = scores(&m, &test.x);
         assert!(scores.iter().all(|s| s.is_finite()));
         assert_eq!(scores, m.drp().predict_roi(&test.x, &Obs::disabled()));
         // Intervals stay usable (constant width, clipped to (0,1)).
@@ -782,7 +775,7 @@ mod tests {
         let mut m = Rdrp::new(small_config()).unwrap();
         m.fit(&data, &mut rng).unwrap();
         assert_eq!(m.diagnostics().n_calibration, 800); // 20%
-        let scores = m.predict_roi(&data.x);
+        let scores = scores(&m, &data.x);
         assert_eq!(scores.len(), 4000);
     }
 
@@ -794,7 +787,7 @@ mod tests {
         let mut m = Rdrp::new(small_config()).unwrap();
         m.fit(&data, &mut rng).unwrap();
         let test = gen.sample(300, Population::Base, &mut rng);
-        assert_eq!(m.predict_roi(&test.x), m.predict_roi(&test.x));
+        assert_eq!(scores(&m, &test.x), scores(&m, &test.x));
     }
 
     #[test]

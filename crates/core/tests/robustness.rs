@@ -4,8 +4,8 @@
 use datasets::generator::{Population, RctGenerator};
 use datasets::CriteoLike;
 use linalg::random::Prng;
-use rdrp::{DegradedMode, DrpConfig, Rdrp, RdrpConfig};
-use uplift::{FitError, RoiModel};
+use rdrp::{DegradedMode, DrpConfig, Rdrp, RdrpConfig, SCORING_SEED};
+use uplift::FitError;
 
 fn quick_config() -> RdrpConfig {
     RdrpConfig {
@@ -82,7 +82,8 @@ fn diverging_learning_rate_errors_or_recovers_never_panics() {
     match m.fit(&data, &mut rng) {
         Ok(()) => {
             // Recovery path: the model must still predict finite scores.
-            let scores = m.predict_roi(&data.x);
+            let mut scoring_rng = Prng::seed_from_u64(SCORING_SEED);
+            let scores = m.predict_scores(&data.x, &mut scoring_rng, &obs::Obs::disabled());
             assert!(scores.iter().all(|s| s.is_finite()));
         }
         Err(FitError::Train(nn::TrainError::Diverged { attempts, .. })) => {
@@ -107,7 +108,8 @@ fn degenerate_uncertainty_end_to_end_through_the_roi_model_trait() {
     m.fit(&data, &mut rng).unwrap();
     assert_eq!(m.degraded(), Some(DegradedMode::DegenerateUncertainty));
     let test = gen.sample(400, Population::Base, &mut rng);
-    let scores = m.predict_roi(&test.x);
+    let mut scoring_rng = Prng::seed_from_u64(SCORING_SEED);
+    let scores = m.predict_scores(&test.x, &mut scoring_rng, &obs::Obs::disabled());
     assert!(scores.iter().all(|s| s.is_finite()));
     assert_eq!(scores, m.drp().predict_roi(&test.x, &obs::Obs::disabled()));
 }

@@ -14,7 +14,7 @@
 //!    mean differences against the training reference;
 //! 3. when drift fires and the window is healthy, the monitor rebuilds
 //!    the serving artifact with the window's `q̂`
-//!    ([`BatchScorer::recalibrated`]) and hot-swaps it through the
+//!    ([`RoiMethod::with_qhat`]) and hot-swaps it through the
 //!    [`ModelRegistry`] — in-flight batches keep their own `Arc` and are
 //!    never rejected; when the window is too small (or its quantile is
 //!    infinite, which is the same condition wearing its honest face) it
@@ -26,13 +26,12 @@
 //! `calibration.drift`, `calibration.hot_swap`, `calibration.degraded`.
 
 use crate::registry::ModelRegistry;
-use crate::scorer::BatchScorer;
 use conformal::{ConformalError, Observation, OnlineConformal, OnlineConformalConfig};
 use datasets::{DriftDetector, DriftDetectorConfig, DriftUpdate, FeatureReference, ShiftError};
 use linalg::Matrix;
 use nn::Workspace;
 use obs::Obs;
-use rdrp::DegradedMode;
+use rdrp::{DegradedMode, RoiMethod};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -131,7 +130,7 @@ pub struct FeedbackOutcome {
 struct MonitorState {
     online: OnlineConformal,
     drift: DriftDetector,
-    scorer: Arc<dyn BatchScorer>,
+    scorer: Arc<dyn RoiMethod>,
     ws: Workspace,
     swaps: u64,
 }
@@ -260,7 +259,7 @@ impl CalibrationMonitor {
                 let x = Matrix::from_rows(&[row.to_vec()]);
                 let MonitorState { scorer, ws, .. } = &mut *st;
                 scorer
-                    .score(&x, ws, &self.obs)
+                    .scores(&x, ws, &self.obs)
                     .first()
                     .copied()
                     .unwrap_or(f64::NAN)
@@ -292,7 +291,8 @@ impl CalibrationMonitor {
                     .filter(|q| q.is_finite() && st.online.ready())
                 {
                     Some(qhat) => {
-                        if let Some(next) = st.scorer.recalibrated(qhat, st.online.len()) {
+                        let swapped = st.scorer.with_qhat(qhat, st.online.len());
+                        if let Some(next) = swapped.map(Arc::from) {
                             st.swaps += 1;
                             let version = format!("{}-oc{:06}", self.base_version, st.swaps);
                             // Publish first, then adopt: a reader that

@@ -118,7 +118,7 @@ impl EngineConfig {
     }
 
     /// Whether scoring routes through the columnar f32 kernel path
-    /// ([`BatchScorer::score_block`](crate::BatchScorer::score_block))
+    /// ([`rdrp::RoiMethod::scores_block`])
     /// instead of the f64 scalar path. Block scores track scalar scores
     /// only to f32 rounding (DESIGN.md §11), so deployments that
     /// golden-pin or replay scores must leave this off.

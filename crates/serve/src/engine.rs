@@ -2,11 +2,11 @@
 //!
 //! Requests enter a bounded submission queue; a persistent pool of
 //! worker threads drains it. When the request at the head of the queue
-//! holds a [`BatchScorer::rowwise`] model, the worker coalesces
+//! holds a [`RoiMethod::rowwise`] model, the worker coalesces
 //! consecutive same-model requests into one batch — up to
 //! [`EngineConfig::max_batch_rows`] rows, waiting at most
 //! [`EngineConfig::max_wait`] for more to arrive — so many small
-//! requests amortize into one row-chunk-parallel `score` call.
+//! requests amortize into one row-chunk-parallel `scores` call.
 //! Non-rowwise models (MC-sweep scoring) are scored one request at a
 //! time, preserving bitwise determinism.
 //!
@@ -49,10 +49,10 @@ use crate::calibration::{CalibrationMonitor, FeedbackOutcome, MonitorError};
 // Re-exported so pre-existing `serve::engine::EngineConfig` paths keep
 // compiling now that configuration lives in its own module.
 pub use crate::config::{BreakerConfig, EngineConfig, SupervisorConfig};
-use crate::scorer::BatchScorer;
 use linalg::Matrix;
 use nn::Workspace;
 use obs::Obs;
+use rdrp::RoiMethod;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -165,7 +165,7 @@ impl PendingScore {
 }
 
 struct Job {
-    scorer: Arc<dyn BatchScorer>,
+    scorer: Arc<dyn RoiMethod>,
     rows: Matrix,
     deadline_ns: Option<u64>,
     enqueued_ns: u64,
@@ -278,7 +278,7 @@ impl ScoringEngine {
     /// nothing.
     pub fn submit(
         &self,
-        scorer: &Arc<dyn BatchScorer>,
+        scorer: &Arc<dyn RoiMethod>,
         rows: Matrix,
         deadline: Option<Duration>,
     ) -> Result<PendingScore, Rejected> {
@@ -622,9 +622,9 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, ws: &mut Workspace) -> bool {
             }
         }
         if shared.cfg.block_kernels {
-            scorer.score_block(&x, ws, obs)
+            scorer.scores_block(&x, obs)
         } else {
-            scorer.score(&x, ws, obs)
+            scorer.scores(&x, ws, obs)
         }
     }));
     obs.observe("serve.score_ns", obs.now_ns().saturating_sub(t0) as f64);

@@ -6,12 +6,12 @@
 //! style of `par` and `obs`: `std`-only threads, no external
 //! dependencies.
 //!
-//! * [`BatchScorer`] — the scoring interface, implemented by [`rdrp::Rdrp`]
-//!   and [`rdrp::DrpModel`]. Its `rowwise` flag tells the engine whether
-//!   rows from different requests may be coalesced into one batch.
+//! * [`rdrp::RoiMethod`] — the scoring interface: any registered method
+//!   serves as-is. Its `rowwise` flag tells the engine whether rows from
+//!   different requests may be coalesced into one batch.
 //! * [`ModelRegistry`] — named, versioned models loaded from their
-//!   persisted JSON (via [`rdrp::Persist`]), hot-swappable under a lock
-//!   while in-flight batches keep their own `Arc`.
+//!   persisted artifacts (via [`rdrp::load_method`]), hot-swappable
+//!   under a lock while in-flight batches keep their own `Arc`.
 //! * [`ScoringEngine`] — a bounded submission queue drained by a
 //!   persistent worker pool; a micro-batcher coalesces small rowwise
 //!   requests into row-chunk-parallel batches. Backpressure, deadlines,
@@ -32,7 +32,7 @@
 //!   layers consult the thread-local ambient plan.
 //!
 //! Determinism: engine scores are bitwise identical to a direct
-//! [`rdrp::Rdrp::predict_scores`] call, for any batching, coalescing,
+//! [`rdrp::RoiMethod::scores`] call, for any batching, coalescing,
 //! or worker count — rowwise models are row-independent, and MC-form
 //! models are scored per-request from the fixed [`rdrp::SCORING_SEED`].
 
@@ -47,7 +47,6 @@ pub mod engine;
 pub mod net;
 pub mod protocol;
 pub mod registry;
-pub mod scorer;
 pub mod session;
 pub mod shard;
 pub mod wire;
@@ -62,11 +61,8 @@ pub use calibration::{
 pub use config::{BreakerConfig, ConfigError, EngineConfig, EngineConfigBuilder, SupervisorConfig};
 pub use engine::{PendingScore, Rejected, ScoreError, ScoringEngine};
 pub use net::{serve_poll, NetConfig};
-#[allow(deprecated)]
-pub use protocol::run_jsonl;
 pub use protocol::{ObserveRequest, ScoreRequest, SessionLimits, WireError};
 pub use registry::{ModelRegistry, RegistryError, DEFAULT_MODEL};
-pub use scorer::BatchScorer;
 pub use session::run_session;
 pub use shard::{shard_index, ShardedEngine, SHARD_PIN_ENV};
 pub use wire::{sniff_codec, Decoded, Frame, FrameBuf, JsonlCodec, WireCodec};

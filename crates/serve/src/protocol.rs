@@ -22,19 +22,19 @@
 //! code, humans read the message, and the message text can improve
 //! without breaking anyone.
 //!
-//! [`run_jsonl`] is the transport-agnostic loop both frontends use: the
-//! CLI `serve` subcommand feeds it stdin/stdout, the TCP endpoint feeds
-//! it a socket. It keeps up to [`SessionLimits::window`] requests in
-//! flight so the engine's micro-batcher has something to coalesce,
-//! while responses still come back in request order with bounded
-//! memory; [`SessionLimits::max_requests`] bounds how much work one
-//! connection can claim.
+//! [`run_session`](crate::session::run_session) with a
+//! [`JsonlCodec`](crate::wire::JsonlCodec) is the transport-agnostic loop
+//! both frontends use: the CLI `serve` subcommand feeds it stdin/stdout,
+//! the TCP endpoint feeds it a socket. It keeps up to
+//! [`SessionLimits::window`] requests in flight so the engine's
+//! micro-batcher has something to coalesce, while responses still come
+//! back in request order with bounded memory;
+//! [`SessionLimits::max_requests`] bounds how much work one connection
+//! can claim.
 
 use crate::calibration::MonitorError;
-use crate::engine::{Rejected, ScoreError, ScoringEngine};
-use crate::registry::ModelRegistry;
+use crate::engine::{Rejected, ScoreError};
 use linalg::Matrix;
-use std::io::{BufRead, Write};
 use tinyjson::{json, JsonError};
 
 /// One scoring request, as parsed off the wire.
@@ -216,7 +216,7 @@ pub fn rows_to_matrix(rows: &[Vec<f64>]) -> Result<Matrix, String> {
     Ok(Matrix::from_rows(rows))
 }
 
-/// Per-connection limits for [`run_jsonl`].
+/// Per-connection limits for [`run_session`](crate::session::run_session).
 #[derive(Debug, Clone)]
 pub struct SessionLimits {
     /// Requests kept in flight at once so the engine's micro-batcher
@@ -246,39 +246,6 @@ impl SessionLimits {
             ..SessionLimits::default()
         }
     }
-}
-
-/// Runs the request/response loop over any line-based transport.
-///
-/// Thin shim over the codec-generic
-/// [`run_session`](crate::session::run_session) with a
-/// [`JsonlCodec`](crate::wire::JsonlCodec) — output is byte-identical
-/// to the pre-trait implementation. Kept for one release so existing
-/// callers migrate at leisure.
-///
-/// # Errors
-/// Propagates transport I/O errors. Malformed or unserviceable requests
-/// are answered with error *responses*, not I/O errors — a bad line
-/// never tears down the connection.
-#[deprecated(
-    since = "0.9.0",
-    note = "use `run_session` with `JsonlCodec` (or `sniff_codec`) instead"
-)]
-pub fn run_jsonl(
-    input: impl BufRead,
-    output: impl Write,
-    engine: &ScoringEngine,
-    registry: &ModelRegistry,
-    limits: &SessionLimits,
-) -> std::io::Result<()> {
-    crate::session::run_session(
-        input,
-        output,
-        &mut crate::wire::JsonlCodec::new(),
-        engine,
-        registry,
-        limits,
-    )
 }
 
 /// Renders the response line for an applied feedback observation.

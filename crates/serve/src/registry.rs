@@ -1,7 +1,6 @@
 //! Named, versioned model storage with hot swap.
 
-use crate::scorer::BatchScorer;
-use rdrp::PersistError;
+use rdrp::{PersistError, RoiMethod};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -42,6 +41,9 @@ impl From<PersistError> for RegistryError {
     }
 }
 
+/// `version -> scorer` slots for one model name.
+type VersionMap = BTreeMap<String, Arc<dyn RoiMethod>>;
+
 /// Versioned models by name, shared across the engine's workers and the
 /// protocol frontends.
 ///
@@ -49,12 +51,9 @@ impl From<PersistError> for RegistryError {
 /// slot under a write lock while in-flight batches keep scoring with
 /// their own [`Arc`] clone of the old model — requests observe either
 /// the old or the new model, never a torn state.
-/// `version -> scorer` slots for one model name.
-type VersionMap = BTreeMap<String, Arc<dyn BatchScorer>>;
-
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
-    models: RwLock<BTreeMap<String, VersionMap>>,
+    models: RwLock<Models>,
 }
 
 impl ModelRegistry {
@@ -64,7 +63,7 @@ impl ModelRegistry {
     }
 
     /// Registers (or hot-swaps) `scorer` as `name`@`version`.
-    pub fn insert(&self, name: &str, version: &str, scorer: Arc<dyn BatchScorer>) {
+    pub fn insert(&self, name: &str, version: &str, scorer: Arc<dyn RoiMethod>) {
         let mut models = lock_write(&self.models);
         models
             .entry(name.to_string())
@@ -92,7 +91,7 @@ impl ModelRegistry {
                 name: name.to_string(),
             });
         }
-        self.insert(name, version, Arc::new(method));
+        self.insert(name, version, Arc::from(method));
         Ok(())
     }
 
@@ -153,7 +152,7 @@ impl ModelRegistry {
 
     /// Resolves `name` (at `version`, or the lexicographically greatest
     /// registered version when `None`) to its scorer.
-    pub fn get(&self, name: &str, version: Option<&str>) -> Option<Arc<dyn BatchScorer>> {
+    pub fn get(&self, name: &str, version: Option<&str>) -> Option<Arc<dyn RoiMethod>> {
         let models = lock_read(&self.models);
         let versions = models.get(name)?;
         match version {
@@ -193,7 +192,7 @@ fn retryable(e: &RegistryError) -> bool {
     matches!(e, RegistryError::Persist(PersistError::Io(_)))
 }
 
-type Models = BTreeMap<String, BTreeMap<String, Arc<dyn BatchScorer>>>;
+type Models = BTreeMap<String, VersionMap>;
 
 // Poisoned registry locks are recoverable: the map itself is never left
 // torn mid-update (single-statement mutations), so continue with the

@@ -137,8 +137,7 @@ impl<'a> Session<'a> {
         while self.write_front_blocking(codec, out) {}
     }
 
-    /// Parses, resolves, and dispatches one frame, mirroring the
-    /// pre-trait `run_jsonl` semantics (identical error strings).
+    /// Parses, resolves, and dispatches one frame.
     fn dispatch(&self, frame: Frame) -> (String, Outcome) {
         match frame {
             Frame::Malformed { id, error } => (id, Outcome::Rejected(error)),
@@ -200,8 +199,7 @@ fn encode_outcome<C: WireCodec + ?Sized>(codec: &C, id: &str, outcome: Outcome, 
 }
 
 /// Runs the request/response loop over any blocking transport with the
-/// given codec (the codec-generic successor to
-/// [`run_jsonl`](crate::protocol::run_jsonl)).
+/// given codec.
 ///
 /// Up to [`SessionLimits::window`] requests stay in flight at once
 /// (older responses are awaited and written as the window slides), so a

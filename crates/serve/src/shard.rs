@@ -31,9 +31,9 @@
 use crate::calibration::CalibrationMonitor;
 use crate::config::EngineConfig;
 use crate::engine::{PendingScore, Rejected, ScoringEngine};
-use crate::scorer::BatchScorer;
 use linalg::Matrix;
 use obs::Obs;
+use rdrp::RoiMethod;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -136,7 +136,7 @@ impl ShardedEngine {
     pub fn submit_to(
         &self,
         conn_id: u64,
-        scorer: &Arc<dyn BatchScorer>,
+        scorer: &Arc<dyn RoiMethod>,
         rows: Matrix,
         deadline: Option<Duration>,
     ) -> Result<PendingScore, Rejected> {

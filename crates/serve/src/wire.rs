@@ -1,15 +1,13 @@
 //! The codec seam between transports and the session loop.
 //!
-//! PR 9's API redesign: the session logic (windowed in-flight requests,
-//! registry resolution, engine dispatch) used to live inside
-//! `run_jsonl`, welded to line-delimited JSON. [`WireCodec`] extracts
-//! the framing so the same session loop ([`crate::session::run_session`]
-//! and the non-blocking poll loop in [`crate::net`]) drives either
-//! codec:
+//! [`WireCodec`] separates the framing from the session logic (windowed
+//! in-flight requests, registry resolution, engine dispatch), so the
+//! same session loop ([`crate::session::run_session`] and the
+//! non-blocking poll loop in [`crate::net`]) drives either codec:
 //!
-//! * [`JsonlCodec`] — the original one-JSON-object-per-line debug codec.
-//!   Output is byte-identical to the pre-trait `run_jsonl` (pinned by
-//!   the protocol tests and CI's serve-smoke `cmp`).
+//! * [`JsonlCodec`] — the one-JSON-object-per-line debug codec. Its
+//!   output is pinned byte-for-byte by the protocol tests and CI's
+//!   serve-smoke `cmp`.
 //! * [`crate::BinaryCodec`] — length-prefixed little-endian frames for
 //!   throughput (see [`crate::binary`] for the layout).
 //!

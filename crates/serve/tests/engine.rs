@@ -3,16 +3,19 @@
 //! recovery.
 
 use datasets::generator::{Population, RctGenerator};
-use datasets::CriteoLike;
+use datasets::{CriteoLike, RctDataset};
 use linalg::random::Prng;
 use linalg::Matrix;
 use nn::Workspace;
 use obs::Obs;
-use rdrp::{DrpConfig, DrpModel, Rdrp, RdrpConfig, SCORING_SEED};
-use serve::{BatchScorer, EngineConfig, Rejected, ScoreError, ScoringEngine};
+use rdrp::methods::RdrpMethod;
+use rdrp::{DrpConfig, MethodConfig, Rdrp, RdrpConfig, RoiMethod, SCORING_SEED};
+use serve::{EngineConfig, Rejected, ScoreError, ScoringEngine};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+use tinyjson::Value;
+use uplift::FitError;
 
 fn fitted_rdrp(mc_dropout: f64, seed: u64) -> Rdrp {
     let gen = CriteoLike::new();
@@ -35,16 +38,18 @@ fn fitted_rdrp(mc_dropout: f64, seed: u64) -> Rdrp {
     model
 }
 
-fn fitted_drp(seed: u64) -> DrpModel {
+fn fitted_drp(seed: u64) -> Arc<dyn RoiMethod> {
     let gen = CriteoLike::new();
     let mut rng = Prng::seed_from_u64(seed);
     let train = gen.sample(2_000, Population::Base, &mut rng);
-    let mut model = DrpModel::new(DrpConfig {
-        epochs: 4,
-        ..DrpConfig::default()
-    });
-    model.fit(&train, &mut rng, &Obs::disabled()).unwrap();
+    let mut config = MethodConfig::default();
+    config.rdrp.drp.epochs = 4;
+    let mut model = rdrp::build("drp", &config).unwrap();
+    // DRP has no calibration stage; the training set stands in.
     model
+        .fit(&train, &train, &mut rng, &Obs::disabled())
+        .unwrap();
+    Arc::from(model)
 }
 
 fn chunks_of(x: &Matrix, sizes: &[usize]) -> Vec<Matrix> {
@@ -77,7 +82,10 @@ fn engine_scores_match_direct_serial_bitwise() {
         ("mc-form", fitted_rdrp(0.5, 0)),
         ("identity-form", fitted_rdrp(0.0, 1)),
     ] {
-        let scorer: Arc<dyn BatchScorer> = Arc::new(model.clone());
+        let scorer: Arc<dyn RoiMethod> = Arc::new(RdrpMethod::new(model.clone()));
+        // The form decides the engine path: MC sweeps are scored one
+        // request at a time, the identity form is coalesced.
+        assert_eq!(scorer.rowwise(), label == "identity-form", "{label}");
         let chunks = chunks_of(&test.x, &[1, 7, 64, 300]);
         let expected: Vec<Vec<f64>> = chunks
             .iter()
@@ -118,8 +126,7 @@ fn coalesced_rowwise_batches_are_bitwise_identical() {
     let gen = CriteoLike::new();
     let mut rng = Prng::seed_from_u64(10);
     let test = gen.sample(200, Population::Base, &mut rng);
-    let model = fitted_drp(11);
-    let scorer: Arc<dyn BatchScorer> = Arc::new(model.clone());
+    let scorer = fitted_drp(11);
     let chunks = chunks_of(&test.x, &[3, 5, 17]);
     // One worker and a generous wait window force everything submitted
     // below into coalesced batches.
@@ -137,7 +144,7 @@ fn coalesced_rowwise_batches_are_bitwise_identical() {
         .map(|chunk| engine.submit(&scorer, chunk.clone(), None).unwrap())
         .collect();
     for (chunk, p) in chunks.iter().zip(pending) {
-        let expected = model.predict_roi(chunk, &Obs::disabled());
+        let expected = scorer.scores_fresh(chunk, &Obs::disabled());
         assert_eq!(p.wait().unwrap(), expected);
     }
 }
@@ -171,7 +178,25 @@ struct GatedScorer {
     gate: Arc<Gate>,
 }
 
-impl BatchScorer for GatedScorer {
+impl RoiMethod for GatedScorer {
+    fn method_name(&self) -> &'static str {
+        "gated"
+    }
+
+    fn label(&self) -> String {
+        "Gated".to_string()
+    }
+
+    fn fit(
+        &mut self,
+        _: &RctDataset,
+        _: &RctDataset,
+        _: &mut Prng,
+        _: &Obs,
+    ) -> Result<(), FitError> {
+        Ok(())
+    }
+
     fn n_features(&self) -> Option<usize> {
         Some(2)
     }
@@ -180,16 +205,20 @@ impl BatchScorer for GatedScorer {
         false
     }
 
-    fn score(&self, x: &Matrix, _ws: &mut Workspace, _obs: &Obs) -> Vec<f64> {
+    fn scores(&self, x: &Matrix, _ws: &mut Workspace, _obs: &Obs) -> Vec<f64> {
         self.gate.wait();
         x.row_iter().map(|row| row[0] + row[1]).collect()
+    }
+
+    fn body_to_json(&self) -> Value {
+        Value::Null
     }
 }
 
 #[test]
 fn full_queue_rejects_with_typed_backpressure_error() {
     let gate = Arc::new(Gate::default());
-    let scorer: Arc<dyn BatchScorer> = Arc::new(GatedScorer {
+    let scorer: Arc<dyn RoiMethod> = Arc::new(GatedScorer {
         gate: Arc::clone(&gate),
     });
     let (obs, recorder) = Obs::in_memory();
@@ -238,7 +267,7 @@ fn full_queue_rejects_with_typed_backpressure_error() {
 fn expired_deadline_is_rejected_on_the_manual_clock() {
     let (obs, recorder, clock) = Obs::manual();
     let gate = Arc::new(Gate::default());
-    let scorer: Arc<dyn BatchScorer> = Arc::new(GatedScorer {
+    let scorer: Arc<dyn RoiMethod> = Arc::new(GatedScorer {
         gate: Arc::clone(&gate),
     });
     let engine = ScoringEngine::start(
@@ -275,7 +304,7 @@ fn expired_deadline_is_rejected_on_the_manual_clock() {
 fn deadline_equal_to_now_is_expired() {
     let (obs, recorder, clock) = Obs::manual();
     let gate = Arc::new(Gate::default());
-    let scorer: Arc<dyn BatchScorer> = Arc::new(GatedScorer {
+    let scorer: Arc<dyn RoiMethod> = Arc::new(GatedScorer {
         gate: Arc::clone(&gate),
     });
     let engine = ScoringEngine::start(
@@ -304,7 +333,7 @@ fn deadline_equal_to_now_is_expired() {
 fn saturated_deadline_expires_at_clock_saturation() {
     let (obs, recorder, clock) = Obs::manual();
     let gate = Arc::new(Gate::default());
-    let scorer: Arc<dyn BatchScorer> = Arc::new(GatedScorer {
+    let scorer: Arc<dyn RoiMethod> = Arc::new(GatedScorer {
         gate: Arc::clone(&gate),
     });
     let engine = ScoringEngine::start(
@@ -336,7 +365,25 @@ struct PanicOnce {
     armed: AtomicBool,
 }
 
-impl BatchScorer for PanicOnce {
+impl RoiMethod for PanicOnce {
+    fn method_name(&self) -> &'static str {
+        "panic-once"
+    }
+
+    fn label(&self) -> String {
+        "PanicOnce".to_string()
+    }
+
+    fn fit(
+        &mut self,
+        _: &RctDataset,
+        _: &RctDataset,
+        _: &mut Prng,
+        _: &Obs,
+    ) -> Result<(), FitError> {
+        Ok(())
+    }
+
     fn n_features(&self) -> Option<usize> {
         Some(2)
     }
@@ -345,17 +392,21 @@ impl BatchScorer for PanicOnce {
         false
     }
 
-    fn score(&self, x: &Matrix, _ws: &mut Workspace, _obs: &Obs) -> Vec<f64> {
+    fn scores(&self, x: &Matrix, _ws: &mut Workspace, _obs: &Obs) -> Vec<f64> {
         if self.armed.swap(false, Ordering::SeqCst) {
             panic!("injected scorer fault");
         }
         x.row_iter().map(|row| row[0] * row[1]).collect()
     }
+
+    fn body_to_json(&self) -> Value {
+        Value::Null
+    }
 }
 
 #[test]
 fn panicking_scorer_poisons_the_request_not_the_worker() {
-    let scorer: Arc<dyn BatchScorer> = Arc::new(PanicOnce {
+    let scorer: Arc<dyn RoiMethod> = Arc::new(PanicOnce {
         armed: AtomicBool::new(true),
     });
     let (obs, recorder) = Obs::in_memory();
@@ -379,9 +430,8 @@ fn panicking_scorer_poisons_the_request_not_the_worker() {
 
 #[test]
 fn wrong_feature_width_is_rejected_before_queueing() {
-    let model = fitted_drp(20);
-    let n = BatchScorer::n_features(&model).unwrap();
-    let scorer: Arc<dyn BatchScorer> = Arc::new(model);
+    let scorer = fitted_drp(20);
+    let n = scorer.n_features().unwrap();
     let engine = ScoringEngine::start(EngineConfig::default(), Obs::disabled());
     let narrow = Matrix::from_rows(&[vec![0.0; n - 1]]);
     assert_eq!(
@@ -395,9 +445,9 @@ fn wrong_feature_width_is_rejected_before_queueing() {
 
 #[test]
 fn unfitted_model_is_rejected_with_typed_error_not_panic() {
-    let unfitted = rdrp::DrpModel::new(rdrp::DrpConfig::default());
-    assert_eq!(BatchScorer::n_features(&unfitted), None);
-    let scorer: Arc<dyn BatchScorer> = Arc::new(unfitted);
+    let scorer: Arc<dyn RoiMethod> =
+        Arc::from(rdrp::build("drp", &MethodConfig::default()).unwrap());
+    assert_eq!(scorer.n_features(), None);
     let engine = ScoringEngine::start(EngineConfig::default(), Obs::disabled());
     let row = Matrix::from_rows(&[vec![0.0; 12]]);
     assert_eq!(
@@ -408,7 +458,7 @@ fn unfitted_model_is_rejected_with_typed_error_not_panic() {
 
 #[test]
 fn empty_request_answers_immediately() {
-    let scorer: Arc<dyn BatchScorer> = Arc::new(PanicOnce {
+    let scorer: Arc<dyn RoiMethod> = Arc::new(PanicOnce {
         armed: AtomicBool::new(true),
     });
     let engine = ScoringEngine::start(EngineConfig::default(), Obs::disabled());
@@ -418,14 +468,13 @@ fn empty_request_answers_immediately() {
 
 #[test]
 fn drop_drains_submitted_requests() {
-    let model = fitted_drp(21);
+    let scorer = fitted_drp(21);
     let test_x = {
         let gen = CriteoLike::new();
         let mut rng = Prng::seed_from_u64(22);
         gen.sample(50, Population::Base, &mut rng).x
     };
-    let expected = model.predict_roi(&test_x, &Obs::disabled());
-    let scorer: Arc<dyn BatchScorer> = Arc::new(model);
+    let expected = scorer.scores_fresh(&test_x, &Obs::disabled());
     let engine = ScoringEngine::start(
         EngineConfig::builder().workers(2).build().unwrap(),
         Obs::disabled(),

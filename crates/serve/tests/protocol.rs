@@ -1,35 +1,53 @@
 //! Registry resolution and the JSONL wire protocol, end to end over
-//! in-memory transports.
-//!
-//! Deliberately exercises the deprecated `run_jsonl` shim: its output
-//! is pinned byte-for-byte, which is exactly the compatibility the shim
-//! promises.
-#![allow(deprecated)]
+//! in-memory transports. Session output is pinned byte-for-byte.
 
 use datasets::generator::{Population, RctGenerator};
 use datasets::CriteoLike;
 use linalg::random::Prng;
 use linalg::Matrix;
 use obs::Obs;
-use rdrp::{DrpConfig, DrpModel, Persist};
+use rdrp::{MethodConfig, RoiMethod};
 use serve::protocol::{parse_request, render_error, render_scores, rows_to_matrix, WireError};
 use serve::{
-    run_jsonl, BatchScorer, EngineConfig, ModelRegistry, ScoringEngine, SessionLimits,
+    run_session, EngineConfig, JsonlCodec, ModelRegistry, ScoringEngine, SessionLimits,
     DEFAULT_MODEL,
 };
 use std::io::Cursor;
 use std::sync::Arc;
 
-fn fitted_drp(seed: u64) -> DrpModel {
+fn fitted_drp(seed: u64) -> Arc<dyn RoiMethod> {
     let gen = CriteoLike::new();
     let mut rng = Prng::seed_from_u64(seed);
     let train = gen.sample(1_500, Population::Base, &mut rng);
-    let mut model = DrpModel::new(DrpConfig {
-        epochs: 3,
-        ..DrpConfig::default()
-    });
-    model.fit(&train, &mut rng, &Obs::disabled()).unwrap();
+    let mut config = MethodConfig::default();
+    config.rdrp.drp.epochs = 3;
+    let mut model = rdrp::build("drp", &config).unwrap();
+    // DRP has no calibration stage; the training set stands in.
     model
+        .fit(&train, &train, &mut rng, &Obs::disabled())
+        .unwrap();
+    Arc::from(model)
+}
+
+/// Runs one JSONL session over in-memory transports.
+fn serve_jsonl(
+    input: String,
+    engine: &ScoringEngine,
+    registry: &ModelRegistry,
+    limits: &SessionLimits,
+) -> String {
+    let mut output = Vec::new();
+    let mut codec = JsonlCodec::new();
+    run_session(
+        Cursor::new(input),
+        &mut output,
+        &mut codec,
+        engine,
+        registry,
+        limits,
+    )
+    .unwrap();
+    String::from_utf8(output).unwrap()
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -42,49 +60,50 @@ fn registry_resolves_newest_version_and_hot_swaps() {
     assert!(registry.is_empty());
     let v1 = fitted_drp(1);
     let v2 = fitted_drp(2);
-    let probe = Matrix::from_rows(&[vec![0.25; BatchScorer::n_features(&v1).unwrap()]]);
-    let s1 = v1.predict_roi(&probe, &Obs::disabled());
-    let s2 = v2.predict_roi(&probe, &Obs::disabled());
+    let probe = Matrix::from_rows(&[vec![0.25; v1.n_features().unwrap()]]);
+    let s1 = v1.scores_fresh(&probe, &Obs::disabled());
+    let s2 = v2.scores_fresh(&probe, &Obs::disabled());
     assert_ne!(s1, s2, "differently seeded fits should disagree");
 
-    registry.insert("promo", "1", Arc::new(v1));
-    registry.insert("promo", "2", Arc::new(v2));
+    registry.insert("promo", "1", v1);
+    registry.insert("promo", "2", v2);
     assert_eq!(registry.len(), 2);
 
     let mut ws = nn::Workspace::new();
     let obs = Obs::disabled();
     let latest = registry.get("promo", None).unwrap();
-    assert_eq!(latest.score(&probe, &mut ws, &obs), s2);
+    assert_eq!(latest.scores(&probe, &mut ws, &obs), s2);
     let pinned = registry.get("promo", Some("1")).unwrap();
-    assert_eq!(pinned.score(&probe, &mut ws, &obs), s1);
+    assert_eq!(pinned.scores(&probe, &mut ws, &obs), s1);
     assert!(registry.get("promo", Some("3")).is_none());
     assert!(registry.get("absent", None).is_none());
 
     // Hot swap: slot 1 now serves the v2 weights; the Arc the earlier
     // get() handed out still scores as v1.
-    registry.insert("promo", "1", Arc::new(fitted_drp(2)));
+    registry.insert("promo", "1", fitted_drp(2));
     let swapped = registry.get("promo", Some("1")).unwrap();
-    assert_eq!(swapped.score(&probe, &mut ws, &obs), s2);
-    assert_eq!(pinned.score(&probe, &mut ws, &obs), s1);
+    assert_eq!(swapped.scores(&probe, &mut ws, &obs), s2);
+    assert_eq!(pinned.scores(&probe, &mut ws, &obs), s1);
 }
 
 #[test]
 fn registry_loads_persisted_models_and_rejects_unfitted() {
     let model = fitted_drp(3);
-    let probe = Matrix::from_rows(&[vec![0.1; BatchScorer::n_features(&model).unwrap()]]);
-    let expected = model.predict_roi(&probe, &Obs::disabled());
+    let probe = Matrix::from_rows(&[vec![0.1; model.n_features().unwrap()]]);
+    let expected = model.scores_fresh(&probe, &Obs::disabled());
 
     let path = tmp("fitted");
-    model.save(&path).unwrap();
+    rdrp::save_method(model.as_ref(), &path).unwrap();
     let registry = ModelRegistry::new();
     registry.load(DEFAULT_MODEL, "1", &path).unwrap();
     std::fs::remove_file(&path).unwrap();
     let loaded = registry.get(DEFAULT_MODEL, None).unwrap();
     let mut ws = nn::Workspace::new();
-    assert_eq!(loaded.score(&probe, &mut ws, &Obs::disabled()), expected);
+    assert_eq!(loaded.scores(&probe, &mut ws, &Obs::disabled()), expected);
 
     let path = tmp("unfitted");
-    DrpModel::new(DrpConfig::default()).save(&path).unwrap();
+    let unfitted = rdrp::build("drp", &MethodConfig::default()).unwrap();
+    rdrp::save_method(unfitted.as_ref(), &path).unwrap();
     let err = registry.load("blank", "1", &path).unwrap_err();
     std::fs::remove_file(&path).unwrap();
     assert!(matches!(
@@ -121,7 +140,7 @@ fn registry_serves_any_method_family_by_artifact_tag() {
     let served = registry.get(DEFAULT_MODEL, None).unwrap();
     let mut ws = nn::Workspace::new();
     assert_eq!(served.n_features(), Some(probe.cols()));
-    assert_eq!(served.score(&probe, &mut ws, &Obs::disabled()), expected);
+    assert_eq!(served.scores(&probe, &mut ws, &Obs::disabled()), expected);
 }
 
 #[test]
@@ -191,18 +210,18 @@ fn ragged_rows_are_rejected_not_panicked() {
 /// per-line errors that never tear down the stream — and scores bitwise
 /// equal to the direct inference path.
 #[test]
-fn run_jsonl_end_to_end_matches_direct_scores() {
+fn jsonl_session_end_to_end_matches_direct_scores() {
     let model = fitted_drp(4);
-    let n = BatchScorer::n_features(&model).unwrap();
+    let n = model.n_features().unwrap();
     let registry = ModelRegistry::new();
-    registry.insert(DEFAULT_MODEL, "1", Arc::new(model.clone()));
+    registry.insert(DEFAULT_MODEL, "1", Arc::clone(&model));
     let engine = ScoringEngine::start(EngineConfig::default(), Obs::disabled());
 
     let gen = CriteoLike::new();
     let mut rng = Prng::seed_from_u64(5);
     let x = gen.sample(6, Population::Base, &mut rng).x;
     let rows: Vec<Vec<f64>> = x.row_iter().map(<[f64]>::to_vec).collect();
-    let expected = model.predict_roi(&x, &Obs::disabled());
+    let expected = model.scores_fresh(&x, &Obs::disabled());
 
     let input = [
         format!(
@@ -221,16 +240,7 @@ fn run_jsonl_end_to_end_matches_direct_scores() {
     ]
     .join("\n");
 
-    let mut output = Vec::new();
-    run_jsonl(
-        Cursor::new(input),
-        &mut output,
-        &engine,
-        &registry,
-        &SessionLimits::with_window(4),
-    )
-    .unwrap();
-    let output = String::from_utf8(output).unwrap();
+    let output = serve_jsonl(input, &engine, &registry, &SessionLimits::with_window(4));
     let lines: Vec<&str> = output.lines().collect();
     assert_eq!(lines.len(), 6, "one response per non-blank line: {output}");
 
@@ -260,15 +270,15 @@ fn run_jsonl_end_to_end_matches_direct_scores() {
 /// capped number of requests, then closes as at EOF — later lines are
 /// never read, so a firehosing peer gets bounded work.
 #[test]
-fn run_jsonl_request_cap_bounds_one_session() {
+fn jsonl_session_request_cap_bounds_one_session() {
     let model = fitted_drp(8);
     let registry = ModelRegistry::new();
-    registry.insert(DEFAULT_MODEL, "1", Arc::new(model.clone()));
+    registry.insert(DEFAULT_MODEL, "1", Arc::clone(&model));
     let engine = ScoringEngine::start(EngineConfig::default(), Obs::disabled());
     let gen = CriteoLike::new();
     let mut rng = Prng::seed_from_u64(9);
     let x = gen.sample(5, Population::Base, &mut rng).x;
-    let expected = model.predict_roi(&x, &Obs::disabled());
+    let expected = model.scores_fresh(&x, &Obs::disabled());
 
     let input: String = x
         .row_iter()
@@ -284,9 +294,7 @@ fn run_jsonl_request_cap_bounds_one_session() {
         window: 4,
         max_requests: 2,
     };
-    let mut output = Vec::new();
-    run_jsonl(Cursor::new(input), &mut output, &engine, &registry, &limits).unwrap();
-    let output = String::from_utf8(output).unwrap();
+    let output = serve_jsonl(input, &engine, &registry, &limits);
     let lines: Vec<&str> = output.lines().collect();
     assert_eq!(lines.len(), 2, "cap of 2 must answer exactly 2: {output}");
     assert_eq!(lines[0], render_scores("r0", &expected[0..1]));
@@ -296,15 +304,15 @@ fn run_jsonl_request_cap_bounds_one_session() {
 /// A window of 1 serializes: each request is awaited before the next is
 /// submitted. Responses must still be complete and ordered.
 #[test]
-fn run_jsonl_window_of_one_still_drains_everything() {
+fn jsonl_session_window_of_one_still_drains_everything() {
     let model = fitted_drp(6);
     let registry = ModelRegistry::new();
-    registry.insert(DEFAULT_MODEL, "1", Arc::new(model.clone()));
+    registry.insert(DEFAULT_MODEL, "1", Arc::clone(&model));
     let engine = ScoringEngine::start(EngineConfig::default(), Obs::disabled());
     let gen = CriteoLike::new();
     let mut rng = Prng::seed_from_u64(7);
     let x = gen.sample(3, Population::Base, &mut rng).x;
-    let expected = model.predict_roi(&x, &Obs::disabled());
+    let expected = model.scores_fresh(&x, &Obs::disabled());
 
     let input: String = x
         .row_iter()
@@ -316,17 +324,8 @@ fn run_jsonl_window_of_one_still_drains_everything() {
             )
         })
         .collect();
-    let mut output = Vec::new();
     // window = 0 is clamped to 1.
-    run_jsonl(
-        Cursor::new(input),
-        &mut output,
-        &engine,
-        &registry,
-        &SessionLimits::with_window(0),
-    )
-    .unwrap();
-    let output = String::from_utf8(output).unwrap();
+    let output = serve_jsonl(input, &engine, &registry, &SessionLimits::with_window(0));
     for (i, line) in output.lines().enumerate() {
         assert_eq!(line, render_scores(&format!("r{i}"), &expected[i..=i]));
     }

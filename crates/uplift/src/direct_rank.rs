@@ -19,7 +19,6 @@
 
 use crate::error::{check_both_groups, check_xty, FitError};
 use crate::nnutil::{standardize, NetConfig};
-use crate::RoiModel;
 use datasets::RctDataset;
 use linalg::random::Prng;
 use linalg::stats::Standardizer;
@@ -135,20 +134,19 @@ impl DirectRank {
     /// ablation: the point estimate is combined with the MC std).
     ///
     /// # Panics
-    /// Panics before [`RoiModel::fit`].
+    /// Panics before [`DirectRank::fit`].
     pub fn mc_scores(&self, x: &Matrix, passes: usize, rng: &mut Prng) -> McStats {
         let state = self.state.as_ref().expect("DirectRank: fit before predict");
         let z = state.scaler.transform(x);
         mc_predict(&state.net, &z, passes, 0.0, rng, &obs::Obs::disabled())
     }
-}
 
-impl RoiModel for DirectRank {
-    fn name(&self) -> String {
-        "DR".to_string()
-    }
-
-    fn fit(&mut self, data: &RctDataset, rng: &mut Prng) -> Result<(), FitError> {
+    /// Fits the ranking network on a full RCT with the Direct Rank loss.
+    ///
+    /// # Errors
+    /// [`FitError::InvalidData`] for malformed inputs or a missing
+    /// treatment group, [`FitError::Train`] for training divergence.
+    pub fn fit(&mut self, data: &RctDataset, rng: &mut Prng) -> Result<(), FitError> {
         check_xty("DirectRank::fit", &data.x, &data.t, &data.y_r)?;
         check_xty("DirectRank::fit", &data.x, &data.t, &data.y_c)?;
         check_both_groups("DirectRank::fit", &data.t)?;
@@ -178,13 +176,19 @@ impl RoiModel for DirectRank {
         Ok(())
     }
 
-    fn predict_roi(&self, x: &Matrix) -> Vec<f64> {
+    /// Uncalibrated ROI ranking scores for every row of `x`.
+    ///
+    /// # Panics
+    /// Panics before [`DirectRank::fit`].
+    pub fn predict_roi(&self, x: &Matrix) -> Vec<f64> {
         let state = self.state.as_ref().expect("DirectRank: fit before predict");
         let z = state.scaler.transform(x);
         state.net.predict_scalar(&z, &obs::Obs::disabled())
     }
 
-    fn predict_roi_block(&self, x: &Matrix) -> Vec<f64> {
+    /// [`DirectRank::predict_roi`] through the columnar f32 kernels,
+    /// within the DESIGN.md §11 tolerance contract.
+    pub fn predict_roi_block(&self, x: &Matrix) -> Vec<f64> {
         let state = self.state.as_ref().expect("DirectRank: fit before predict");
         // Standardization stays in f64; only the network runs in f32.
         let z = state.scaler.transform(x);

@@ -2,11 +2,11 @@
 //!
 //! [`FitError`] is the middle layer of the pipeline's error hierarchy:
 //! `nn::TrainError` (innermost) converts into it via `From`, and the
-//! `rdrp` crate's `PipelineError` wraps it in turn. Every implementor of
-//! [`crate::UpliftModel`] / [`crate::RoiModel`] validates its inputs
-//! up front — a NaN feature is cheaper to reject before training than to
-//! diagnose after the optimizer has chased it — and the neural fitters
-//! additionally verify their parameters stayed finite.
+//! `rdrp` crate's `PipelineError` wraps it in turn. Every model fitter
+//! validates its inputs up front — a NaN feature is cheaper to reject
+//! before training than to diagnose after the optimizer has chased it —
+//! and the neural fitters additionally verify their parameters stayed
+//! finite.
 
 use linalg::Matrix;
 use nn::TrainError;
@@ -26,8 +26,8 @@ pub enum FitError {
         /// Which model's parameters went non-finite.
         model: String,
     },
-    /// Conformal calibration failed (rDRP implements [`crate::RoiModel`],
-    /// so its calibration stage must be expressible through this type).
+    /// Conformal calibration failed (rDRP fits through this type, so its
+    /// calibration stage must be expressible here).
     Calibration(String),
 }
 

@@ -42,7 +42,7 @@ const COST_FLOOR: f64 = 1e-4;
 ///
 /// `predict_uplift_matrix` returns `K − 1` rows: row `k` holds
 /// `τ̂_{k+1}(x_i)` — the score-matrix layout shared with
-/// `DivideAndConquerRdrp::predict_scores` and the MCKP allocator.
+/// `rdrp::PerArm` and the MCKP allocator.
 pub trait KArmUpliftModel: std::fmt::Debug {
     /// Human-readable model name.
     fn name(&self) -> String;

@@ -7,13 +7,13 @@
 //!   building block: S-/T-/X-learners, causal forests, and the
 //!   representation-learning networks (TARNet, DragonNet, OffsetNet,
 //!   SNet).
-//! * [`RoiModel`] predicts per-individual ROI directly. The Two-Phase
-//!   Method ([`Tpm`]) implements it as the ratio of two [`UpliftModel`]s
+//! * ROI rankers predict per-individual ROI directly. The Two-Phase
+//!   Method ([`Tpm`]) forms it as the ratio of two [`UpliftModel`]s
 //!   (revenue uplift / cost uplift), exactly the combination whose error
 //!   amplification the paper criticizes; [`DirectRank`] learns an ROI
-//!   *ranking* score with a non-convex loss. DRP/rDRP implement the same
-//!   trait in the `rdrp` crate, so the experiment harness treats all ten
-//!   methods uniformly.
+//!   *ranking* score with a non-convex loss. The `rdrp` crate's
+//!   `RoiMethod` puts both behind one interface next to DRP/rDRP, so the
+//!   experiment harness treats all methods uniformly.
 
 pub mod causal_forest;
 pub mod direct_rank;
@@ -29,7 +29,6 @@ pub mod snet;
 pub mod tarnet;
 pub mod tpm;
 
-use datasets::RctDataset;
 use linalg::random::Prng;
 use linalg::Matrix;
 
@@ -89,33 +88,6 @@ pub trait UpliftModel {
     /// matching decoder and must know every tag emitted here.
     fn to_tagged_json(&self) -> Option<tinyjson::Value> {
         None
-    }
-}
-
-/// A model of per-individual ROI (the C-BTAP ranking score).
-pub trait RoiModel {
-    /// Human-readable model name.
-    fn name(&self) -> String;
-
-    /// Fits the model on a full RCT dataset (both outcomes).
-    ///
-    /// # Errors
-    /// [`FitError::InvalidData`] for malformed inputs, [`FitError::Train`]
-    /// for unrecoverable training divergence, and
-    /// [`FitError::Calibration`] when a conformal calibration stage
-    /// (rDRP) cannot complete.
-    fn fit(&mut self, data: &RctDataset, rng: &mut Prng) -> Result<(), FitError>;
-
-    /// Predicts the ROI score for every row of `x`. Scores only need to
-    /// *rank* correctly; TPM produces actual ratio estimates, DirectRank
-    /// produces uncalibrated scores, DRP produces unbiased ROI in (0, 1).
-    fn predict_roi(&self, x: &Matrix) -> Vec<f64>;
-
-    /// Block-path twin of [`RoiModel::predict_roi`] over the columnar
-    /// `f32` kernels. Defaults to the scalar path; overrides follow the
-    /// DESIGN.md §11 tolerance contract.
-    fn predict_roi_block(&self, x: &Matrix) -> Vec<f64> {
-        self.predict_roi(x)
     }
 }
 

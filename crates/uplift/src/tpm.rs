@@ -16,7 +16,7 @@ use crate::regressor::BaseLearner;
 use crate::rlearner::RLearner;
 use crate::snet::SNet;
 use crate::tarnet::TarNet;
-use crate::{FitError, RoiModel, UpliftModel};
+use crate::{FitError, UpliftModel};
 use datasets::RctDataset;
 use linalg::random::Prng;
 use linalg::vector::safe_div;
@@ -209,12 +209,18 @@ impl FromJson for Tpm {
     }
 }
 
-impl RoiModel for Tpm {
-    fn name(&self) -> String {
+impl Tpm {
+    /// Paper-style name, `TPM-<label>` (e.g. `TPM-SL`).
+    pub fn name(&self) -> String {
         format!("TPM-{}", self.label)
     }
 
-    fn fit(&mut self, data: &RctDataset, rng: &mut Prng) -> Result<(), FitError> {
+    /// Fits the revenue and the cost uplift model on a full RCT.
+    ///
+    /// # Errors
+    /// [`FitError::InvalidData`] for malformed inputs; component fitting
+    /// errors propagate.
+    pub fn fit(&mut self, data: &RctDataset, rng: &mut Prng) -> Result<(), FitError> {
         if let Some(problem) = data.validate() {
             return Err(FitError::InvalidData(format!("Tpm::fit: {problem}")));
         }
@@ -228,14 +234,20 @@ impl RoiModel for Tpm {
         Ok(())
     }
 
-    fn predict_roi(&self, x: &Matrix) -> Vec<f64> {
+    /// The ROI ratio `τ̂^r(x) / τ̂^c(x)`, cost floored, for every row.
+    ///
+    /// # Panics
+    /// Panics before [`Tpm::fit`].
+    pub fn predict_roi(&self, x: &Matrix) -> Vec<f64> {
         assert!(self.fitted, "Tpm: fit before predict");
         let tau_r = self.revenue.predict_uplift(x);
         let tau_c = self.cost.predict_uplift(x);
         safe_div(&tau_r, &tau_c, COST_FLOOR)
     }
 
-    fn predict_roi_block(&self, x: &Matrix) -> Vec<f64> {
+    /// [`Tpm::predict_roi`] through the columnar f32 kernels, within the
+    /// DESIGN.md §11 tolerance contract.
+    pub fn predict_roi_block(&self, x: &Matrix) -> Vec<f64> {
         assert!(self.fitted, "Tpm: fit before predict");
         // The ratio and floor stay in f64; only the component uplift
         // models run through the columnar kernels.

@@ -14,7 +14,7 @@ use datasets::MeituanLike;
 use linalg::random::Prng;
 use metrics::aucc_from_labels;
 use rdrp::{greedy_allocate, DrpModel, Rdrp, RdrpConfig};
-use uplift::{RoiModel, Tpm};
+use uplift::Tpm;
 
 fn main() {
     let mut rng = Prng::seed_from_u64(99);

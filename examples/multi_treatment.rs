@@ -5,16 +5,17 @@
 //! cargo run -p rdrp-examples --release --example multi_treatment
 //! ```
 //!
-//! Three coupon face values compete for one budget. One rDRP is trained
-//! per arm against the shared control group; the multiple-choice greedy
-//! then assigns each customer at most one coupon. The per-arm models are
-//! also saved/reloaded to show the deployment serialization path.
+//! Three coupon face values compete for one budget. [`PerArm`] trains
+//! one rDRP per arm against the shared control group; the
+//! multiple-choice greedy then assigns each customer at most one coupon.
+//! One arm's model is also saved/reloaded to show the deployment
+//! serialization path.
 
 use datasets::generator::Population;
 use datasets::multi::MultiCouponGenerator;
 use linalg::random::Prng;
-use rdrp::{mckp_allocate, DivideAndConquerRdrp, DrpConfig, Persist, Rdrp, RdrpConfig};
-use uplift::RoiModel;
+use obs::Obs;
+use rdrp::{mckp_allocate, KArmRoiMethod, MethodConfig, PerArm};
 
 fn main() {
     let mut rng = Prng::seed_from_u64(21);
@@ -28,19 +29,18 @@ fn main() {
         train.len()
     );
 
-    let config = RdrpConfig {
-        drp: DrpConfig {
-            epochs: 25,
-            ..DrpConfig::default()
-        },
-        mc_passes: 25,
-        ..RdrpConfig::default()
-    };
-    let mut dc = DivideAndConquerRdrp::new(config, 3).expect("config is valid");
-    dc.fit(&train, &calibration, &mut rng, &obs::Obs::disabled())
+    let mut config = MethodConfig::default();
+    config.rdrp.drp.epochs = 25;
+    config.rdrp.mc_passes = 25;
+    let arms = (1..=3)
+        .map(|_| rdrp::build("rdrp", &config))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("config is valid");
+    let mut dc = PerArm::new("rdrp", arms).expect("three arms");
+    dc.fit(&train, &calibration, &mut rng, &Obs::disabled())
         .expect("synthetic RCT data is well-formed");
-    for k in 1..=3u8 {
-        let d = dc.arm(k).diagnostics();
+    for (k, arm) in (1..).zip(dc.arms()) {
+        let d = arm.as_rdrp().expect("every arm is an rDRP").diagnostics();
         println!(
             "  arm {k}: roi* = {:?}, q̂ = {:.2}, form = {}",
             d.roi_star.map(|v| (v * 1000.0).round() / 1000.0),
@@ -51,10 +51,11 @@ fn main() {
 
     // Persist arm 2's model and prove the roundtrip is exact.
     let path = std::env::temp_dir().join("rdrp_multi_arm2.json");
-    dc.arm(2).save(&path).expect("save model");
-    let reloaded = Rdrp::load(&path).expect("load model");
-    let before = dc.arm(2).predict_roi(&customers.x);
-    let after = reloaded.predict_roi(&customers.x);
+    let arm2 = dc.arms()[1].as_ref();
+    rdrp::save_method(arm2, &path).expect("save model");
+    let reloaded = rdrp::load_method(&path).expect("load model");
+    let before = arm2.scores_fresh(&customers.x, &Obs::disabled());
+    let after = reloaded.scores_fresh(&customers.x, &Obs::disabled());
     assert_eq!(before, after, "persistence must be bit-exact");
     println!(
         "\narm-2 model saved to {} and reloaded bit-exactly",
@@ -65,7 +66,9 @@ fn main() {
     // Allocate one budget across all arms. Comparable (quantile-matched)
     // scores put every arm on the common ROI scale — raw calibrated
     // scores would let the largest-magnitude form monopolize the budget.
-    let scores = dc.predict_comparable_scores(&customers.x, &mut rng, &obs::Obs::disabled());
+    let scores = dc
+        .comparable_score_matrix(&customers.x, &Obs::disabled())
+        .expect("every arm is an rDRP");
     let costs = customers
         .true_tau_c
         .clone()

@@ -6,17 +6,10 @@
 //! model that produced it would silently corrupt experiments.
 
 use datasets::{CriteoLike, ExperimentData, Setting, SettingSizes};
+use integration::unique_tmp;
 use linalg::random::Prng;
 use rdrp::{DrpConfig, MethodConfig, RdrpConfig};
 use uplift::NetConfig;
-
-fn tmp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "rdrp_artifact_{}_{}.json",
-        name.replace('-', "_"),
-        std::process::id()
-    ))
-}
 
 /// Cheap hyperparameters: enough training to make weights non-trivial,
 /// small enough to keep 13 fits fast.
@@ -63,7 +56,7 @@ fn every_registered_method_roundtrips_bitwise() {
         let before = method.scores_fresh(&data.test.x, &obs);
         let before_intervals = method.intervals(&data.test.x);
 
-        let path = tmp_path(name);
+        let path = unique_tmp(name);
         rdrp::save_method(method.as_ref(), &path).expect(name);
         let loaded = rdrp::load_method(&path).expect(name);
         let _ = std::fs::remove_file(&path);
@@ -119,7 +112,7 @@ fn artifacts_declare_their_tag_and_format_version() {
         method
             .fit(&data.train, &data.calibration, &mut rng, &obs)
             .expect(name);
-        let path = tmp_path(&format!("tag_{name}"));
+        let path = unique_tmp(&format!("tag_{name}"));
         rdrp::save_method(method.as_ref(), &path).expect(name);
         let text = std::fs::read_to_string(&path).expect(name);
         let _ = std::fs::remove_file(&path);
@@ -164,7 +157,7 @@ fn truncated_and_bit_rotted_artifacts_fail_typed_for_every_family() {
         method
             .fit(&data.train, &data.calibration, &mut rng, &obs)
             .expect(name);
-        let path = tmp_path(&format!("corrupt_{name}"));
+        let path = unique_tmp(&format!("corrupt_{name}"));
         rdrp::save_method(method.as_ref(), &path).expect(name);
         let text = std::fs::read_to_string(&path).expect(name);
 
@@ -201,7 +194,7 @@ fn kill_mid_save_keeps_the_old_artifact_loadable_for_every_family() {
         method
             .fit(&data.train, &data.calibration, &mut rng, &obs)
             .expect(name);
-        let path = tmp_path(&format!("killsave_{name}"));
+        let path = unique_tmp(&format!("killsave_{name}"));
         rdrp::save_method(method.as_ref(), &path).expect(name);
         let before = std::fs::read_to_string(&path).expect(name);
 
@@ -246,7 +239,7 @@ fn loading_a_tampered_tag_is_a_typed_error_naming_known_methods() {
     method
         .fit(&data.train, &data.calibration, &mut rng, &obs)
         .unwrap();
-    let path = tmp_path("tampered");
+    let path = unique_tmp("tampered");
     rdrp::save_method(method.as_ref(), &path).unwrap();
     let text = std::fs::read_to_string(&path)
         .unwrap()

@@ -28,42 +28,18 @@
 use chaos::{Chaos, FaultKind, FaultPlan, Trigger};
 use datasets::generator::{Population, RctGenerator};
 use datasets::CriteoLike;
+use integration::{row_sum_scorer, unique_tmp};
 use linalg::random::Prng;
 use linalg::Matrix;
 use obs::{InMemoryRecorder, Obs};
-use rdrp::{DrpConfig, Persist, PersistError};
+use rdrp::{MethodConfig, PersistError, RoiMethod};
 use serve::{
-    run_session, BackoffPolicy, BatchScorer, BreakerConfig, EngineConfig, JsonlCodec,
-    ModelRegistry, Rejected, ScoreError, ScoringEngine, SessionLimits, SupervisorConfig,
+    run_session, BackoffPolicy, BreakerConfig, EngineConfig, JsonlCodec, ModelRegistry, Rejected,
+    ScoreError, ScoringEngine, SessionLimits, SupervisorConfig,
 };
 use std::io::Cursor;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A trivially fast rowwise scorer so the engine scenarios exercise the
-/// engine, not a neural net.
-#[derive(Debug)]
-struct RowSum {
-    width: usize,
-}
-
-impl BatchScorer for RowSum {
-    fn n_features(&self) -> Option<usize> {
-        Some(self.width)
-    }
-
-    fn rowwise(&self) -> bool {
-        true
-    }
-
-    fn score(&self, x: &Matrix, _ws: &mut nn::Workspace, _obs: &Obs) -> Vec<f64> {
-        x.row_iter().map(|r| r.iter().sum()).collect()
-    }
-}
-
-fn row_sum_scorer() -> Arc<dyn BatchScorer> {
-    Arc::new(RowSum { width: 3 })
-}
 
 fn one_row() -> Matrix {
     Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0])
@@ -78,10 +54,6 @@ fn serial_engine_builder() -> serve::EngineConfigBuilder {
 /// Engine sized for deterministic sequencing: one worker, no fill wait.
 fn serial_engine_config() -> EngineConfig {
     serial_engine_builder().build().expect("valid test config")
-}
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("rdrp_chaos_{name}_{}.json", std::process::id()))
 }
 
 /// Event names in recorded order — the sequence every scenario pins.
@@ -106,7 +78,7 @@ fn respawn_scenario() -> Arc<InMemoryRecorder> {
         obs.clone(),
         Chaos::new(plan, obs),
     );
-    let scorer = row_sum_scorer();
+    let scorer = row_sum_scorer(3);
     // Two consecutive panics: each poisons only its own request …
     for _ in 0..2 {
         let got = engine
@@ -161,7 +133,7 @@ fn shed_recover_scenario() -> Arc<InMemoryRecorder> {
         obs.clone(),
         Chaos::new(plan, obs),
     );
-    let scorer = row_sum_scorer();
+    let scorer = row_sum_scorer(3);
     for _ in 0..2 {
         let got = engine
             .submit(&scorer, one_row(), None)
@@ -236,7 +208,7 @@ fn stall_deadline_scenario() -> Arc<InMemoryRecorder> {
         obs.clone(),
         Chaos::new(plan, obs).with_stall_clock(Arc::clone(&clock)),
     );
-    let scorer = row_sum_scorer();
+    let scorer = row_sum_scorer(3);
     // Healthy batch first (hit 1 of the injection point).
     let got = engine
         .submit(&scorer, one_row(), None)
@@ -268,15 +240,17 @@ fn stalled_worker_degrades_late_responses_to_deadline_errors() {
 // and bit rot.
 // ---------------------------------------------------------------------
 
-fn fitted_drp_model() -> rdrp::DrpModel {
+fn fitted_drp_model() -> Box<dyn RoiMethod> {
     let gen = CriteoLike::new();
     let mut rng = Prng::seed_from_u64(17);
     let train = gen.sample(400, Population::Base, &mut rng);
-    let mut model = rdrp::DrpModel::new(DrpConfig {
-        epochs: 2,
-        ..DrpConfig::default()
-    });
-    model.fit(&train, &mut rng, &Obs::disabled()).expect("fit");
+    let mut config = MethodConfig::default();
+    config.rdrp.drp.epochs = 2;
+    let mut model = rdrp::build("drp", &config).expect("registry has drp");
+    // DRP has no calibration stage; the training set stands in.
+    model
+        .fit(&train, &train, &mut rng, &Obs::disabled())
+        .expect("fit");
     model
 }
 
@@ -298,18 +272,18 @@ fn corrupt_body_digit(text: &str) -> String {
 
 fn persist_faults_scenario() -> Arc<InMemoryRecorder> {
     let (obs, recorder, _clock) = Obs::manual();
-    let path = tmp("persist");
+    let path = unique_tmp("persist.json");
     let model = fitted_drp_model();
-    model.save(&path).expect("clean save");
+    rdrp::save_method(model.as_ref(), &path).expect("clean save");
 
     // 1. A save killed at the rename leaves the previous artifact
     //    loadable — the atomic path never tears the destination.
     {
         let plan = FaultPlan::new().fail("persist.rename", Trigger::Nth(1), FaultKind::Io);
         let _guard = chaos::install(Chaos::new(plan, obs.clone()));
-        let err = model.save(&path).expect_err("injected rename failure");
+        let err = rdrp::save_method(model.as_ref(), &path).expect_err("injected rename failure");
         assert!(matches!(err, PersistError::Io(_)), "{err:?}");
-        rdrp::DrpModel::load(&path).expect("old artifact intact after failed save");
+        rdrp::load_method(&path).expect("old artifact intact after failed save");
     }
 
     // 2. A transiently unreadable artifact retries under bounded backoff
@@ -334,7 +308,7 @@ fn persist_faults_scenario() -> Arc<InMemoryRecorder> {
     //    a typed error, and retrying is refused (corrupt bytes stay
     //    corrupt).
     {
-        let rotted = tmp("persist_rot");
+        let rotted = unique_tmp("persist_rot.json");
         let text = std::fs::read_to_string(&path).expect("read artifact");
         std::fs::write(&rotted, corrupt_body_digit(&text)).expect("write rotted");
         let registry = ModelRegistry::new();
@@ -393,7 +367,7 @@ fn persistence_faults_keep_artifacts_loadable_and_typed() {
 fn conn_drop_scenario() -> Arc<InMemoryRecorder> {
     let (obs, recorder, _clock) = Obs::manual();
     let registry = ModelRegistry::new();
-    registry.insert("default", "1", row_sum_scorer());
+    registry.insert("default", "1", row_sum_scorer(3));
     let engine = ScoringEngine::start(serial_engine_config(), obs.clone());
     let plan = FaultPlan::new().fail("conn.read", Trigger::Nth(2), FaultKind::Disconnect);
     let _guard = chaos::install(Chaos::new(plan, obs));
@@ -464,7 +438,7 @@ fn queue_pressure_trips_the_breaker_and_sheds_the_burst() {
             .expect("valid test config"),
         obs,
     );
-    let scorer = row_sum_scorer();
+    let scorer = row_sum_scorer(3);
     let mut pending = Vec::new();
     let mut shed = 0usize;
     for _ in 0..8 {

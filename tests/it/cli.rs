@@ -3,6 +3,7 @@
 //! training/calibration, and `0` (with a stderr warning) for a run whose
 //! calibration *degraded* but still produced a usable model.
 
+use integration::unique_tmp;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -37,13 +38,6 @@ fn run_cli(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn rdrp-cli")
-}
-
-fn tmp(name: &str) -> String {
-    std::env::temp_dir()
-        .join(format!("rdrp_it_cli_{name}_{}", std::process::id()))
-        .display()
-        .to_string()
 }
 
 /// A small trainable CSV in the CLI's default schema. Even rows are
@@ -97,7 +91,7 @@ fn missing_files_exit_3() {
         "--calibration",
         "/nonexistent/cal.csv",
         "--model",
-        &tmp("never.json"),
+        &unique_tmp("never.json").display().to_string(),
     ]);
     assert_eq!(out.status.code(), Some(3), "stderr: {}", text(&out.stderr));
 }
@@ -107,7 +101,7 @@ fn untrainable_data_exits_4() {
     // Well-formed CSV, but every row treated: no uplift is identifiable
     // and the pipeline's own validation must reject it as a *training*
     // failure, not a data/IO one.
-    let csv = tmp("single_group.csv");
+    let csv = unique_tmp("single_group.csv").display().to_string();
     let mut body = String::from("f0,treatment,conversion,visit\n");
     for i in 0..200 {
         body.push_str(&format!("{}.0,1,1,1\n", i % 7));
@@ -120,7 +114,7 @@ fn untrainable_data_exits_4() {
         "--calibration",
         &csv,
         "--model",
-        &tmp("never2.json"),
+        &unique_tmp("never2.json").display().to_string(),
         "--epochs",
         "2",
     ]);
@@ -130,10 +124,10 @@ fn untrainable_data_exits_4() {
 
 #[test]
 fn degraded_calibration_warns_but_exits_0() {
-    let train_csv = tmp("degraded_train.csv");
-    let cal_csv = tmp("degraded_cal.csv");
-    let model_json = tmp("degraded_model.json");
-    let trace_json = tmp("degraded_trace.json");
+    let train_csv = unique_tmp("degraded_train.csv").display().to_string();
+    let cal_csv = unique_tmp("degraded_cal.csv").display().to_string();
+    let model_json = unique_tmp("degraded_model.json").display().to_string();
+    let trace_json = unique_tmp("degraded_trace.json").display().to_string();
     write_trainable_csv(&train_csv, 400, false);
     // All-zero visit costs validate but collapse the calibration cost
     // uplift: Algorithm 2's search fails and rDRP falls back to plain DRP

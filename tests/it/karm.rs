@@ -20,6 +20,7 @@
 
 use datasets::multi::{MultiCouponGenerator, MultiRctDataset};
 use datasets::{CriteoLike, ExperimentData, Setting, SettingSizes};
+use integration::unique_tmp;
 use linalg::random::Prng;
 use rdrp::{DrpConfig, MethodConfig, RdrpConfig};
 use std::path::PathBuf;
@@ -128,10 +129,8 @@ fn k2_fit_reproduces_every_binary_golden_fixture() {
         binary
             .fit(&data.train, &data.calibration, &mut rng, &obs)
             .expect(name);
-        let karm_path =
-            std::env::temp_dir().join(format!("rdrp_it_karm_{name}_{}.json", std::process::id()));
-        let binary_path =
-            std::env::temp_dir().join(format!("rdrp_it_binary_{name}_{}.json", std::process::id()));
+        let karm_path = unique_tmp(&format!("karm_{name}.json"));
+        let binary_path = unique_tmp(&format!("binary_{name}.json"));
         rdrp::save_karm_method(method.as_ref(), &karm_path).expect(name);
         rdrp::save_method(binary.as_ref(), &binary_path).expect(name);
         let karm_bytes = std::fs::read(&karm_path).expect(name);

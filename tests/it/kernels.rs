@@ -29,7 +29,7 @@ use linalg::random::Prng;
 use linalg::Matrix;
 use obs::Obs;
 use rdrp::{DrpConfig, MethodConfig, RdrpConfig};
-use serve::{BatchScorer, EngineConfig, ScoringEngine};
+use serve::{EngineConfig, ScoringEngine};
 use std::sync::Arc;
 use std::time::Duration;
 use trees::{
@@ -246,7 +246,7 @@ fn engine_block_kernels_flag_selects_the_block_path() {
     let x = f32_rounded(&data.test.x);
     let want_scalar = method.scores_fresh(&x, &obs);
     let want_block = method.scores_block(&x, &obs);
-    let scorer: Arc<dyn BatchScorer> = Arc::new(method);
+    let scorer: Arc<dyn rdrp::RoiMethod> = Arc::from(method);
 
     for (block_kernels, want) in [(false, &want_scalar), (true, &want_block)] {
         let engine = ScoringEngine::start(

@@ -6,17 +6,21 @@
 //! traffic while swapping.
 
 use conformal::{OnlineConformal, OnlineConformalConfig};
-use datasets::{CriteoLike, DriftDetectorConfig, FeatureReference, Population, RctGenerator};
+use datasets::{
+    CriteoLike, DriftDetectorConfig, FeatureReference, Population, RctDataset, RctGenerator,
+};
 use linalg::random::Prng;
 use linalg::stats::conformal_quantile;
 use linalg::Matrix;
 use nn::Workspace;
 use obs::{FieldValue, InMemoryRecorder, Obs};
+use rdrp::RoiMethod;
 use serve::{
-    BatchScorer, CalibrationMonitor, CalibrationMonitorConfig, EngineConfig, FeedbackOutcome,
-    ModelRegistry, ScoringEngine,
+    CalibrationMonitor, CalibrationMonitorConfig, EngineConfig, FeedbackOutcome, ModelRegistry,
+    ScoringEngine,
 };
 use std::sync::{Arc, Condvar, Mutex};
+use uplift::FitError;
 
 const ALPHA: f64 = 0.1;
 
@@ -180,7 +184,25 @@ struct StubScorer {
     gate: Option<Arc<Gate>>,
 }
 
-impl BatchScorer for StubScorer {
+impl RoiMethod for StubScorer {
+    fn method_name(&self) -> &'static str {
+        "stub"
+    }
+
+    fn label(&self) -> String {
+        "Stub".to_string()
+    }
+
+    fn fit(
+        &mut self,
+        _: &RctDataset,
+        _: &RctDataset,
+        _: &mut Prng,
+        _: &Obs,
+    ) -> Result<(), FitError> {
+        Ok(())
+    }
+
     fn n_features(&self) -> Option<usize> {
         Some(2)
     }
@@ -189,7 +211,7 @@ impl BatchScorer for StubScorer {
         false
     }
 
-    fn score(&self, x: &Matrix, _ws: &mut Workspace, _obs: &Obs) -> Vec<f64> {
+    fn scores(&self, x: &Matrix, _ws: &mut Workspace, _obs: &Obs) -> Vec<f64> {
         if let Some(gate) = &self.gate {
             gate.enter_and_wait();
         }
@@ -202,8 +224,12 @@ impl BatchScorer for StubScorer {
         Some(self.qhat)
     }
 
-    fn recalibrated(&self, qhat: f64, _n_calibration: usize) -> Option<Arc<dyn BatchScorer>> {
-        Some(Arc::new(StubScorer { qhat, gate: None }))
+    fn with_qhat(&self, qhat: f64, _n_calibration: usize) -> Option<Box<dyn RoiMethod>> {
+        Some(Box::new(StubScorer { qhat, gate: None }))
+    }
+
+    fn body_to_json(&self) -> tinyjson::Value {
+        tinyjson::Value::Null
     }
 }
 

@@ -2,8 +2,8 @@
 
 use datasets::{AlibabaLike, CriteoLike, MeituanLike, Setting};
 use integration::{quick_data, quick_rdrp_config};
-use rdrp::Rdrp;
-use uplift::RoiModel;
+use linalg::random::Prng;
+use rdrp::{Rdrp, SCORING_SEED};
 
 fn full_pipeline_on(generator: &dyn datasets::generator::RctGenerator, seed: u64) {
     let (data, mut rng) = quick_data(generator, Setting::SuNo, seed);
@@ -25,11 +25,12 @@ fn full_pipeline_on(generator: &dyn datasets::generator::RctGenerator, seed: u64
     assert_eq!(diag.n_calibration, data.calibration.len());
 
     // Scores are finite and rank better than random on the test set.
-    let scores = model.predict_roi(&data.test.x);
+    let mut scoring_rng = Prng::seed_from_u64(SCORING_SEED);
+    let scores = model.predict_scores(&data.test.x, &mut scoring_rng, &obs::Obs::disabled());
     assert_eq!(scores.len(), data.test.len());
     assert!(scores.iter().all(|s| s.is_finite()));
     let aucc = metrics::aucc_from_labels(&data.test, &scores, 20);
-    let mut rng2 = linalg::random::Prng::seed_from_u64(seed + 1);
+    let mut rng2 = Prng::seed_from_u64(seed + 1);
     let random: Vec<f64> = (0..data.test.len()).map(|_| rng2.uniform()).collect();
     let aucc_rand = metrics::aucc_from_labels(&data.test, &random, 20);
     assert!(
@@ -76,7 +77,8 @@ fn rdrp_handles_every_setting() {
                 &obs::Obs::disabled(),
             )
             .unwrap();
-        let scores = model.predict_roi(&data.test.x);
+        let mut scoring_rng = Prng::seed_from_u64(SCORING_SEED);
+        let scores = model.predict_scores(&data.test.x, &mut scoring_rng, &obs::Obs::disabled());
         assert!(
             scores.iter().all(|s| s.is_finite()),
             "non-finite scores under {setting}"

@@ -19,14 +19,15 @@
 
 use chaos::{Chaos, FaultKind, FaultPlan, Trigger};
 use datasets::{CriteoLike, ExperimentData, Setting, SettingSizes};
+use integration::row_sum_scorer;
 use linalg::random::Prng;
 use linalg::Matrix;
 use obs::Obs;
-use rdrp::{DrpConfig, MethodConfig, RdrpConfig};
+use rdrp::{DrpConfig, MethodConfig, RdrpConfig, RoiMethod};
 use serve::{
-    decode_client_frame, encode_score_request, run_session, shard_index, BatchScorer, BinaryCodec,
-    ClientFrame, Decoded, EngineConfig, Frame, FrameBuf, ModelRegistry, NetConfig, ScoreError,
-    ScoreRequest, SessionLimits, ShardedEngine, WireCodec, WireError, DEFAULT_MODEL,
+    decode_client_frame, encode_score_request, run_session, shard_index, BinaryCodec, ClientFrame,
+    Decoded, EngineConfig, Frame, FrameBuf, ModelRegistry, NetConfig, ScoreError, ScoreRequest,
+    SessionLimits, ShardedEngine, WireCodec, WireError, DEFAULT_MODEL,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -37,30 +38,6 @@ use std::time::Duration;
 /// `RDRP_SHARD_PIN` env var is read at construction, and tests must not
 /// observe each other's pins.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// A trivially fast rowwise scorer (row sum) for the plumbing tests.
-#[derive(Debug)]
-struct RowSum {
-    width: usize,
-}
-
-impl BatchScorer for RowSum {
-    fn n_features(&self) -> Option<usize> {
-        Some(self.width)
-    }
-
-    fn rowwise(&self) -> bool {
-        true
-    }
-
-    fn score(&self, x: &Matrix, _ws: &mut nn::Workspace, _obs: &Obs) -> Vec<f64> {
-        x.row_iter().map(|r| r.iter().sum()).collect()
-    }
-}
-
-fn row_sum_scorer(width: usize) -> Arc<dyn BatchScorer> {
-    Arc::new(RowSum { width })
-}
 
 fn serial_config(shards: usize) -> EngineConfig {
     EngineConfig::builder()
@@ -281,11 +258,11 @@ fn shard_hash_values_are_pinned() {
 // Sharded vs single: bitwise equality at shards {1, 2, 8}.
 // ---------------------------------------------------------------------
 
-/// Fits a small MC-form rDRP and returns (scorer, test rows, scores
-/// from the direct path). MC models are the hard case: their dropout
-/// sweep consumes RNG per request, which per-request seeding from
-/// `rdrp::SCORING_SEED` must keep topology-invariant.
-fn fitted_rdrp_scorer() -> (Arc<dyn BatchScorer>, Matrix, Vec<f64>) {
+/// Fits a small MC-sweep model (`drp-mc`) and returns (scorer, test
+/// rows, scores from the direct path). MC models are the hard case:
+/// their dropout sweep consumes RNG per request, which per-request
+/// seeding from `rdrp::SCORING_SEED` must keep topology-invariant.
+fn fitted_mc_scorer() -> (Arc<dyn RoiMethod>, Matrix, Vec<f64>) {
     let sizes = SettingSizes {
         train_sufficient: 600,
         insufficient_fraction: 0.15,
@@ -307,21 +284,24 @@ fn fitted_rdrp_scorer() -> (Arc<dyn BatchScorer>, Matrix, Vec<f64>) {
         ..MethodConfig::default()
     };
     let obs = Obs::disabled();
-    let mut method = rdrp::build("drp", &config).expect("registry has drp");
+    let mut method = rdrp::build("drp-mc", &config).expect("registry has drp-mc");
     let mut fit_rng = Prng::seed_from_u64(8);
     method
         .fit(&data.train, &data.calibration, &mut fit_rng, &obs)
         .expect("fit succeeds");
+    assert!(
+        !method.rowwise(),
+        "drp-mc must take the per-request MC path"
+    );
     let x = data.test.x.clone();
     let expected = method.scores_fresh(&x, &obs);
-    let scorer: Arc<dyn BatchScorer> = Arc::new(method);
-    (scorer, x, expected)
+    (Arc::from(method), x, expected)
 }
 
 #[test]
 fn sharded_scores_match_single_engine_bitwise_at_1_2_8_shards() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let (scorer, x, expected) = fitted_rdrp_scorer();
+    let (scorer, x, expected) = fitted_mc_scorer();
     let expected_bits: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
     for shards in [1usize, 2, 8] {
         let engine = ShardedEngine::start(serial_config(shards), Obs::disabled());
