@@ -652,8 +652,10 @@ mod tests {
         assert_eq!(scored.lines().count(), 1501); // header + rows
 
         // The serve frontend must reproduce the score subcommand's
-        // numbers over TCP, byte for byte.
-        serve_matches_score_csv(&model_json, &test_csv, &scored);
+        // numbers over TCP, bit for bit, through both wire codecs.
+        for binary in [false, true] {
+            serve_matches_score_csv(&model_json, &test_csv, &scored, binary);
+        }
 
         run(strings(&[
             "evaluate",
@@ -669,12 +671,14 @@ mod tests {
     }
 
     /// Serves the model on an ephemeral TCP port for one connection,
-    /// replays the test CSV as one JSON request, and diffs against the
-    /// `score` subcommand's CSV. One request, not many: MC-form models
-    /// seed their dropout sweep per request, so only a request holding
-    /// the whole dataset reproduces the batch `score` run exactly.
-    fn serve_matches_score_csv(model_json: &str, test_csv: &str, scored: &str) {
-        use std::io::{BufRead, BufReader, Write};
+    /// replays the test CSV as one request over the JSONL codec or, with
+    /// `binary`, the binary codec, and checks the scores against the
+    /// `score` subcommand's CSV bit for bit (`==` would let `-0.0` pass
+    /// for `0.0`). One request, not many: MC-form models seed their
+    /// dropout sweep per request, so only a request holding the whole
+    /// dataset reproduces the batch `score` run exactly.
+    fn serve_matches_score_csv(model_json: &str, test_csv: &str, scored: &str, binary: bool) {
+        use std::io::Write;
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -714,42 +718,70 @@ mod tests {
             cap: std::time::Duration::from_millis(100),
             ..serve::BackoffPolicy::default()
         };
-        let stream =
+        let mut stream =
             serve::backoff::retry(&policy, |_| std::net::TcpStream::connect(addr), |_| true)
                 .expect("server never bound");
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(120)))
+            .unwrap();
         let rows: Vec<Vec<f64>> = data.x.row_iter().map(<[f64]>::to_vec).collect();
-        writeln!(
-            writer,
-            r#"{{"id": "all", "rows": {}}}"#,
-            tinyjson::to_string(&rows)
-        )
-        .unwrap();
+        let mut request = Vec::new();
+        if binary {
+            let req = serve::ScoreRequest {
+                id: "all".into(),
+                model: None,
+                version: None,
+                rows,
+                deadline_ms: None,
+            };
+            serve::encode_score_request(&req, &mut request).unwrap();
+        } else {
+            writeln!(
+                request,
+                r#"{{"id": "all", "rows": {}}}"#,
+                tinyjson::to_string(&rows)
+            )
+            .unwrap();
+        }
+        stream.write_all(&request).unwrap();
         // Half-close: the server reads until EOF before draining its
         // response window, so signal end-of-requests while keeping the
-        // read side open.
-        writer.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let v = tinyjson::parse(&line).unwrap();
-        let served_scores: Vec<f64> = v
-            .fetch("scores")
-            .as_arr()
-            .unwrap_or_else(|_| panic!("expected scores, got {line}"))
-            .iter()
-            .map(|s| s.as_f64().unwrap())
-            .collect();
-        drop(writer);
-        drop(reader);
+        // read side open. With --max-conns 1 it closes once answered.
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).unwrap();
+        drop(stream);
         server.join().unwrap().unwrap();
 
+        let served_scores: Vec<f64> = if binary {
+            let mut buf = serve::FrameBuf::new();
+            buf.extend(&response);
+            buf.set_eof();
+            match serve::decode_client_frame(&mut buf) {
+                Ok(Some(serve::ClientFrame::Scores { scores, .. })) => scores,
+                other => panic!("expected a scores frame, got {other:?}"),
+            }
+        } else {
+            let line = String::from_utf8(response).unwrap();
+            let v = tinyjson::parse(&line).unwrap();
+            v.fetch("scores")
+                .as_arr()
+                .unwrap_or_else(|_| panic!("expected scores, got {line}"))
+                .iter()
+                .map(|s| s.as_f64().unwrap())
+                .collect()
+        };
         let csv_scores: Vec<f64> = scored
             .lines()
             .skip(1)
             .map(|l| l.split(',').next().unwrap().parse().unwrap())
             .collect();
-        assert_eq!(served_scores, csv_scores, "serve and score disagree");
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(&served_scores),
+            bits(&csv_scores),
+            "serve (binary: {binary}) and score disagree"
+        );
     }
 
     #[test]

@@ -2,17 +2,6 @@
 
 use crate::split::Interval;
 
-/// Summary statistics of a batch of intervals against realized values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalStats {
-    /// Fraction of values inside their interval.
-    pub coverage: f64,
-    /// Mean interval width (infinite widths propagate).
-    pub mean_width: f64,
-    /// Number of evaluated pairs.
-    pub n: usize,
-}
-
 /// Fraction of `truths[i]` covered by `intervals[i]`.
 ///
 /// # Panics
@@ -35,15 +24,6 @@ pub fn empirical_coverage(intervals: &[Interval], truths: &[f64]) -> f64 {
 pub fn mean_width(intervals: &[Interval]) -> f64 {
     assert!(!intervals.is_empty(), "mean_width: empty input");
     intervals.iter().map(Interval::width).sum::<f64>() / intervals.len() as f64
-}
-
-/// Computes both coverage and width in one pass.
-pub fn interval_stats(intervals: &[Interval], truths: &[f64]) -> IntervalStats {
-    IntervalStats {
-        coverage: empirical_coverage(intervals, truths),
-        mean_width: mean_width(intervals),
-        n: intervals.len(),
-    }
 }
 
 #[cfg(test)]
@@ -72,10 +52,6 @@ mod tests {
     fn width_statistics() {
         let ivs = [iv(0.0, 1.0), iv(0.0, 3.0)];
         assert_eq!(mean_width(&ivs), 2.0);
-        let stats = interval_stats(&ivs, &[0.5, 10.0]);
-        assert_eq!(stats.coverage, 0.5);
-        assert_eq!(stats.mean_width, 2.0);
-        assert_eq!(stats.n, 2);
     }
 
     #[test]

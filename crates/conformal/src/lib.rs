@@ -25,14 +25,12 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod coverage;
-pub mod cqr;
 pub mod error;
 pub mod online;
 pub mod score;
 pub mod split;
 
-pub use coverage::{empirical_coverage, mean_width, IntervalStats};
-pub use cqr::CqrConformal;
+pub use coverage::{empirical_coverage, mean_width};
 pub use error::ConformalError;
 pub use online::{Observation, OnlineConformal, OnlineConformalConfig};
 pub use score::{scaled_score, scaled_scores};

@@ -125,11 +125,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {

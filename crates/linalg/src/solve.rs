@@ -100,69 +100,12 @@ pub fn ridge_fit(x: &Matrix, y: &[f64], ridge: f64) -> Result<Vec<f64>> {
     solve_spd(&gram, &xty)
 }
 
-/// Weighted ridge regression: solves `(XᵀWX + λI) β = XᵀW y` for a
-/// diagonal weight matrix `W = diag(weights)` with non-negative entries.
-///
-/// Used by the R-learner, whose final stage minimizes
-/// `Σ w_i (ỹ_i − β·x_i)²` with `w_i = (t_i − e)²`.
-pub fn ridge_fit_weighted(x: &Matrix, y: &[f64], weights: &[f64], ridge: f64) -> Result<Vec<f64>> {
-    if x.rows() != y.len() || x.rows() != weights.len() {
-        return Err(Error::ShapeMismatch {
-            op: "ridge_fit_weighted",
-            lhs: x.shape(),
-            rhs: (y.len(), 1),
-        });
-    }
-    if x.rows() == 0 {
-        return Err(Error::Empty {
-            what: "design matrix",
-        });
-    }
-    // Scale rows by sqrt(w): X' = sqrt(W) X, y' = sqrt(W) y reduces the
-    // problem to ordinary ridge.
-    let mut xw = x.clone();
-    let mut yw = y.to_vec();
-    for r in 0..x.rows() {
-        let s = weights[r].max(0.0).sqrt();
-        for v in xw.row_mut(r) {
-            *v *= s;
-        }
-        yw[r] *= s;
-    }
-    ridge_fit(&xw, &yw, ridge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
-    }
-
-    #[test]
-    fn weighted_ridge_ignores_zero_weight_rows() {
-        // Rows 0..3 follow y = 2x; row 4 is an outlier with weight 0.
-        let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0], vec![4.0], vec![5.0]]);
-        let y = [2.0, 4.0, 6.0, 8.0, -100.0];
-        let w = [1.0, 1.0, 1.0, 1.0, 0.0];
-        let beta = ridge_fit_weighted(&x, &y, &w, 1e-9).unwrap();
-        assert!(approx(beta[0], 2.0, 1e-6), "beta {:?}", beta);
-        // With uniform weights the outlier drags the slope down.
-        let beta_all = ridge_fit(&x, &y, 1e-9).unwrap();
-        assert!(beta_all[0] < 0.5);
-    }
-
-    #[test]
-    fn weighted_matches_unweighted_for_unit_weights() {
-        let x = Matrix::from_rows(&[vec![1.0, 0.5], vec![0.2, 1.5], vec![2.0, -1.0]]);
-        let y = [1.0, 2.0, 3.0];
-        let w = [1.0, 1.0, 1.0];
-        let a = ridge_fit(&x, &y, 0.5).unwrap();
-        let b = ridge_fit_weighted(&x, &y, &w, 0.5).unwrap();
-        for (ai, bi) in a.iter().zip(&b) {
-            assert!(approx(*ai, *bi, 1e-12));
-        }
     }
 
     #[test]

@@ -51,11 +51,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Euclidean norm.
-pub fn norm2(a: &[f64]) -> f64 {
-    a.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
 /// Elementwise difference `a - b`.
 pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(
@@ -288,7 +283,6 @@ mod tests {
 
     #[test]
     fn norm_and_sub() {
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(sub(&[3.0], &[1.0]), vec![2.0]);
     }
 }

@@ -200,12 +200,6 @@ impl Dense {
         self.grad_b.iter_mut().for_each(|v| *v = 0.0);
     }
 
-    /// Drops the forward caches (e.g. before storing the model).
-    pub fn clear_cache(&mut self) {
-        self.cache_x = None;
-        self.cache_z = None;
-    }
-
     /// Parameter count (weights + biases).
     pub fn param_count(&self) -> usize {
         self.w.rows() * self.w.cols() + self.b.len()
@@ -231,11 +225,6 @@ impl Dense {
     /// Read-only view of the biases.
     pub fn biases(&self) -> &[f64] {
         &self.b
-    }
-
-    /// Read-only view of the accumulated weight gradient.
-    pub fn grad_weights(&self) -> &Matrix {
-        &self.grad_w
     }
 }
 

@@ -49,6 +49,6 @@ pub use karm::{build_karm_net, train_arm_heads, KArmTrainConfig};
 pub use mc::{mc_predict, mc_predict_map, McStats};
 pub use mlp::{BlockWorkspace, Mlp, Workspace};
 pub use multihead::MultiHeadNet;
-pub use objective::{BceObjective, MseObjective, Objective, PinballObjective};
+pub use objective::{BceObjective, MseObjective, Objective};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use trainer::{train, Recovery, TrainConfig, TrainReport};

@@ -119,7 +119,6 @@ enum PlanItem {
     Dense {
         units: usize,
         activation: Activation,
-        init: Init,
     },
     Dropout(f64),
 }
@@ -127,21 +126,7 @@ enum PlanItem {
 impl MlpBuilder {
     /// Adds a dense layer with Xavier-uniform initialization.
     pub fn dense(mut self, units: usize, activation: Activation) -> Self {
-        self.plan.push(PlanItem::Dense {
-            units,
-            activation,
-            init: Init::XavierUniform,
-        });
-        self
-    }
-
-    /// Adds a dense layer with an explicit initialization scheme.
-    pub fn dense_init(mut self, units: usize, activation: Activation, init: Init) -> Self {
-        self.plan.push(PlanItem::Dense {
-            units,
-            activation,
-            init,
-        });
+        self.plan.push(PlanItem::Dense { units, activation });
         self
     }
 
@@ -161,16 +146,12 @@ impl MlpBuilder {
         let mut has_dense = false;
         for item in self.plan {
             match item {
-                PlanItem::Dense {
-                    units,
-                    activation,
-                    init,
-                } => {
+                PlanItem::Dense { units, activation } => {
                     layers.push(Layer::Dense(Dense::new(
                         current_dim,
                         units,
                         activation,
-                        init,
+                        Init::XavierUniform,
                         rng,
                     )));
                     current_dim = units;

@@ -80,60 +80,6 @@ impl Objective for BceObjective {
     }
 }
 
-/// Pinball (quantile) loss at level `q`:
-/// `L = mean( max(q·e, (q−1)·e) )` with `e = y − pred`.
-///
-/// Training a network with this objective makes its output an estimate of
-/// the conditional `q`-quantile — the ingredient Conformalized Quantile
-/// Regression needs. (The rDRP paper explains it cannot rewrite the DRP
-/// loss as a pinball loss, which is why rDRP uses scalar-uncertainty
-/// conformalization instead; this objective exists so the repository can
-/// demonstrate the CQR alternative on problems that *do* admit it.)
-#[derive(Debug, Clone)]
-pub struct PinballObjective {
-    targets: Vec<f64>,
-    quantile: f64,
-}
-
-impl PinballObjective {
-    /// Creates a pinball objective at quantile level `q ∈ (0, 1)`.
-    ///
-    /// # Panics
-    /// Panics when `q` is outside the open unit interval.
-    pub fn new(targets: Vec<f64>, quantile: f64) -> Self {
-        assert!(
-            quantile > 0.0 && quantile < 1.0,
-            "PinballObjective: quantile must be in (0,1), got {quantile}"
-        );
-        PinballObjective { targets, quantile }
-    }
-}
-
-impl Objective for PinballObjective {
-    fn loss_and_grad(&self, preds: &[f64], rows: &[usize]) -> (f64, Vec<f64>) {
-        assert_eq!(
-            preds.len(),
-            rows.len(),
-            "pinball: preds/rows length mismatch"
-        );
-        let n = preds.len().max(1) as f64;
-        let q = self.quantile;
-        let mut loss = 0.0;
-        let mut grad = Vec::with_capacity(preds.len());
-        for (&p, &r) in preds.iter().zip(rows) {
-            let e = self.targets[r] - p;
-            if e >= 0.0 {
-                loss += q * e;
-                grad.push(-q / n);
-            } else {
-                loss += (q - 1.0) * e;
-                grad.push((1.0 - q) / n);
-            }
-        }
-        (loss / n, grad)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,41 +136,5 @@ mod tests {
         let obj = BceObjective::new(vec![1.0]);
         assert!(obj.loss(&[5.0], &[0]) < obj.loss(&[0.0], &[0]));
         assert!(obj.loss(&[0.0], &[0]) < obj.loss(&[-5.0], &[0]));
-    }
-
-    #[test]
-    fn pinball_value_and_grad() {
-        let obj = PinballObjective::new(vec![1.0, 1.0], 0.9);
-        // Under-prediction (e > 0) is punished 9x harder than over.
-        let under = obj.loss(&[0.0], &[0]); // e = 1, loss = 0.9
-        let over = obj.loss(&[2.0], &[1]); // e = -1, loss = 0.1
-        assert!((under - 0.9).abs() < 1e-12);
-        assert!((over - 0.1).abs() < 1e-12);
-        finite_diff_check(&obj, &[0.3, 1.7], &[0, 1]);
-    }
-
-    #[test]
-    fn pinball_minimizer_is_the_empirical_quantile() {
-        // For constant predictions over a sample, the pinball loss over a
-        // grid of candidate constants is minimized at the q-quantile.
-        let targets: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let rows: Vec<usize> = (0..100).collect();
-        let obj = PinballObjective::new(targets, 0.8);
-        let loss_at = |c: f64| obj.loss(&vec![c; 100], &rows);
-        let mut best = (f64::INFINITY, 0.0);
-        for k in 0..=100 {
-            let c = k as f64;
-            let l = loss_at(c);
-            if l < best.0 {
-                best = (l, c);
-            }
-        }
-        assert!((best.1 - 80.0).abs() <= 1.0, "minimizer {}", best.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in")]
-    fn pinball_bad_quantile_panics() {
-        let _ = PinballObjective::new(vec![1.0], 1.0);
     }
 }

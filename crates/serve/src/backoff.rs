@@ -66,11 +66,6 @@ impl BackoffPolicy {
             .collect()
     }
 
-    /// An upper bound on total time spent sleeping across all attempts.
-    pub fn worst_case_sleep(&self) -> Duration {
-        self.delays().iter().sum()
-    }
-
     // xorshift64* keyed by (seed, attempt): stateless, so `delay` is a
     // pure function and concurrent callers cannot skew each other's
     // schedules.

@@ -333,8 +333,8 @@ fn check_payload(p: &[u8]) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Appends a score-request frame — what a binary client (loadgen, the
-/// tests) sends.
+/// Appends a score-request frame — what a binary client (a load
+/// generator, the tests) sends.
 ///
 /// # Errors
 /// A `bad_request` [`WireError`] when the id, model, or version exceeds

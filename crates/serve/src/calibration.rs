@@ -210,11 +210,6 @@ impl CalibrationMonitor {
         lock(&self.state).swaps
     }
 
-    /// The current rolling-window size.
-    pub fn window_len(&self) -> usize {
-        lock(&self.state).online.len()
-    }
-
     /// The calibrator's current adaptive miscoverage level.
     pub fn alpha(&self) -> f64 {
         lock(&self.state).online.alpha()

@@ -25,13 +25,13 @@
 //!   requests get [`ScoreError::WorkerPanicked`], the worker replaces
 //!   its scratch [`Workspace`] and keeps serving.
 //! * **Supervision** — a worker that panics
-//!   [`SupervisorConfig::respawn_after_panics`] times in a row retires
-//!   itself and spawns a fresh replacement (event
+//!   [`SupervisorConfig::respawn_after_panics`](crate::SupervisorConfig::respawn_after_panics)
+//!   times in a row retires itself and spawns a fresh replacement (event
 //!   `serve.worker_respawn`), so a scorer that wedges one thread's state
 //!   cannot bleed forward forever.
-//! * **Load shedding** — when [`BreakerConfig`] thresholds on panic rate
-//!   or queue pressure are crossed, a circuit breaker opens (event
-//!   `serve.shed`) and submissions are refused with
+//! * **Load shedding** — when [`BreakerConfig`](crate::BreakerConfig)
+//!   thresholds on panic rate or queue pressure are crossed, a circuit
+//!   breaker opens (event `serve.shed`) and submissions are refused with
 //!   [`Rejected::Overloaded`] carrying a `retry_after_ms` hint until the
 //!   cooldown elapses (event `serve.recovered`). Both thresholds default
 //!   to off.
@@ -46,9 +46,7 @@
 //! (injection point `engine.worker_batch`: panics and stalls).
 
 use crate::calibration::{CalibrationMonitor, FeedbackOutcome, MonitorError};
-// Re-exported so pre-existing `serve::engine::EngineConfig` paths keep
-// compiling now that configuration lives in its own module.
-pub use crate::config::{BreakerConfig, EngineConfig, SupervisorConfig};
+use crate::config::EngineConfig;
 use linalg::Matrix;
 use nn::Workspace;
 use obs::Obs;

@@ -53,6 +53,10 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+/// How long the loop sleeps when a full pass over listener and
+/// connections made no progress.
+const POLL_WAIT: Duration = Duration::from_micros(200);
+
 /// Poll-loop configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -66,9 +70,6 @@ pub struct NetConfig {
     pub conn_timeout: Option<Duration>,
     /// Skip codec sniffing and require the binary protocol.
     pub binary_only: bool,
-    /// How long to sleep when a full pass over listener and
-    /// connections made no progress.
-    pub poll_wait: Duration,
     /// Encoded-but-unwritten response bytes a connection may hold
     /// before the loop stops resolving (and therefore decoding and
     /// reading) for it. This is the write-side memory bound: a peer
@@ -83,7 +84,6 @@ impl Default for NetConfig {
             max_conns: None,
             conn_timeout: None,
             binary_only: false,
-            poll_wait: Duration::from_micros(200),
             max_unflushed: 256 * 1024,
         }
     }
@@ -213,7 +213,7 @@ pub fn serve_poll(
             return Ok(());
         }
         if !progress {
-            std::thread::sleep(cfg.poll_wait);
+            std::thread::sleep(POLL_WAIT);
         }
     }
 }

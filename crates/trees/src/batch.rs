@@ -19,13 +19,11 @@
 //! performs on the f32-cast row — so flat traversal is **bitwise equal**
 //! to recursive traversal over the same f32-rounded inputs. Ensemble
 //! combination preserves the recursive accumulation order too: forests
-//! sum tree values in tree order then divide by the tree count, GBT
-//! computes `base + shrinkage · (stage sum)` — the same expressions as
-//! [`RandomForest::predict_one`] / [`GradientBoostedTrees::predict_one`].
+//! sum tree values in tree order then divide by the tree count — the
+//! same expression as [`RandomForest::predict_one`].
 
 use crate::causal::{self, CausalForest, CausalTree};
 use crate::forest::RandomForest;
-use crate::gbt::GradientBoostedTrees;
 use crate::tree::{self, RegressionTree};
 use linalg::block::FeatureBlock;
 
@@ -334,47 +332,11 @@ impl FlatCausalForest {
     }
 }
 
-/// A [`GradientBoostedTrees`] ensemble flattened for level-order batch
-/// scoring.
-#[derive(Debug, Clone)]
-pub struct FlatGbt {
-    base: f64,
-    shrinkage: f64,
-    stages: Vec<FlatTree>,
-}
-
-impl FlatGbt {
-    /// Flattens every boosting stage.
-    pub fn from_gbt(g: &GradientBoostedTrees) -> Self {
-        FlatGbt {
-            base: g.base(),
-            shrinkage: g.shrinkage(),
-            stages: g.stages().iter().map(FlatTree::from_regression).collect(),
-        }
-    }
-
-    /// Boosted prediction for every logical row of `x` — bitwise equal
-    /// to [`GradientBoostedTrees::predict`] over the same f32-cast rows
-    /// (`base + shrinkage · stage sum`, stages accumulated in order).
-    pub fn predict_block(&self, x: &FeatureBlock) -> Vec<f64> {
-        let mut acc = vec![0.0; x.rows()];
-        let mut scratch = BlockScratch::new();
-        for t in &self.stages {
-            t.accumulate_block_with(x, &mut acc, &mut scratch);
-        }
-        for a in &mut acc {
-            *a = self.base + self.shrinkage * *a;
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::causal::CausalForestConfig;
     use crate::forest::RandomForestConfig;
-    use crate::gbt::GbtConfig;
     use crate::tree::TreeConfig;
     use linalg::random::Prng;
     use linalg::Matrix;
@@ -421,21 +383,6 @@ mod tests {
         let forest = RandomForest::fit(&x, &y, &cfg, &mut rng);
         let flat = FlatForest::from_forest(&forest);
         let want = forest.predict(&f32_rounded(&x));
-        let got = flat.predict_block(&FeatureBlock::from_matrix(&x));
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn flat_gbt_matches_recursive_bitwise() {
-        let (x, y) = dataset(200, 3, 4);
-        let cfg = GbtConfig {
-            n_stages: 25,
-            ..GbtConfig::default()
-        };
-        let mut rng = Prng::seed_from_u64(5);
-        let gbt = GradientBoostedTrees::fit(&x, &y, &cfg, &mut rng);
-        let flat = FlatGbt::from_gbt(&gbt);
-        let want = gbt.predict(&f32_rounded(&x));
         let got = flat.predict_block(&FeatureBlock::from_matrix(&x));
         assert_eq!(got, want);
     }

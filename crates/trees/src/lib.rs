@@ -3,7 +3,7 @@
 //!
 //! These serve two roles in the reproduction:
 //!
-//! * base regressors for the meta-learner baselines (S-/T-/X-learner need
+//! * base regressors for the meta-learner baselines (S-/X-learner need
 //!   an outcome model; we offer ridge and forests),
 //! * the TPM-CF baseline of Table I, which ranks individuals by the ratio
 //!   of two causal-forest CATE estimates (revenue uplift / cost uplift).
@@ -17,12 +17,10 @@
 pub mod batch;
 pub mod causal;
 pub mod forest;
-pub mod gbt;
 pub mod split;
 pub mod tree;
 
-pub use batch::{BlockScratch, FlatCausalForest, FlatForest, FlatGbt, FlatTree};
+pub use batch::{BlockScratch, FlatCausalForest, FlatForest, FlatTree};
 pub use causal::{CausalForest, CausalForestConfig, CausalTree};
 pub use forest::{RandomForest, RandomForestConfig};
-pub use gbt::{GbtConfig, GradientBoostedTrees};
 pub use tree::{RegressionTree, TreeConfig};

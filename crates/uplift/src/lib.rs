@@ -4,7 +4,7 @@
 //! Two model notions:
 //!
 //! * [`UpliftModel`] predicts a *single outcome's* CATE `τ(x)` — the
-//!   building block: S-/T-/X-learners, causal forests, and the
+//!   building block: S-/X-learners, causal forests, and the
 //!   representation-learning networks (TARNet, DragonNet, OffsetNet,
 //!   SNet).
 //! * ROI rankers predict per-individual ROI directly. The Two-Phase
@@ -24,7 +24,6 @@ pub mod meta;
 pub mod nnutil;
 pub mod offsetnet;
 pub mod regressor;
-pub mod rlearner;
 pub mod snet;
 pub mod tarnet;
 pub mod tpm;
@@ -40,11 +39,10 @@ pub use karm::{
     karm_component_from_tagged_json, KArmUpliftModel, KNetLearner, KSLearner, KTLearner, KTpm,
     KXLearner,
 };
-pub use meta::{SLearner, TLearner, XLearner};
+pub use meta::{SLearner, XLearner};
 pub use nnutil::NetConfig;
 pub use offsetnet::OffsetNet;
 pub use regressor::BaseLearner;
-pub use rlearner::RLearner;
 pub use snet::SNet;
 pub use tarnet::TarNet;
 pub use tpm::Tpm;

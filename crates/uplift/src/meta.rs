@@ -1,4 +1,4 @@
-//! Meta-learners: S-, T-, and X-learner (Künzel et al. 2019).
+//! Meta-learners: S- and X-learner (Künzel et al. 2019).
 
 use crate::error::{check_both_groups, check_xty, FitError};
 use crate::regressor::{BaseLearner, FittedRegressor};
@@ -72,84 +72,12 @@ impl UpliftModel for SLearner {
     }
 }
 
-/// T-learner: separate outcome models for treated and control;
-/// `τ̂(x) = μ̂₁(x) − μ̂₀(x)`.
-#[derive(Debug, Clone)]
-pub struct TLearner {
-    base: BaseLearner,
-    mu1: Option<FittedRegressor>,
-    mu0: Option<FittedRegressor>,
-}
-
-tinyjson::json_struct!(TLearner { base, mu1, mu0 });
-
-impl TLearner {
-    /// Creates a T-learner over the given base regressor.
-    pub fn new(base: BaseLearner) -> Self {
-        TLearner {
-            base,
-            mu1: None,
-            mu0: None,
-        }
-    }
-}
-
 fn group_rows(t: &[u8], group: u8) -> Vec<usize> {
     (0..t.len()).filter(|&i| t[i] == group).collect()
 }
 
 fn select(v: &[f64], rows: &[usize]) -> Vec<f64> {
     rows.iter().map(|&i| v[i]).collect()
-}
-
-impl UpliftModel for TLearner {
-    fn name(&self) -> String {
-        "T-Learner".to_string()
-    }
-
-    fn to_tagged_json(&self) -> Option<tinyjson::Value> {
-        Some(tinyjson::Value::Obj(vec![(
-            "TLearner".to_string(),
-            tinyjson::ToJson::to_json(self),
-        )]))
-    }
-
-    fn fit(&mut self, x: &Matrix, t: &[u8], y: &[f64], rng: &mut Prng) -> Result<(), FitError> {
-        check_xty("TLearner::fit", x, t, y)?;
-        check_both_groups("TLearner::fit", t)?;
-        let treated = group_rows(t, 1);
-        let control = group_rows(t, 0);
-        self.mu1 = Some(
-            self.base
-                .fit(&x.select_rows(&treated), &select(y, &treated), rng),
-        );
-        self.mu0 = Some(
-            self.base
-                .fit(&x.select_rows(&control), &select(y, &control), rng),
-        );
-        Ok(())
-    }
-
-    fn predict_uplift(&self, x: &Matrix) -> Vec<f64> {
-        let mu1 = self.mu1.as_ref().expect("TLearner: fit before predict");
-        let mu0 = self.mu0.as_ref().expect("TLearner: fit before predict");
-        mu1.predict(x)
-            .iter()
-            .zip(&mu0.predict(x))
-            .map(|(a, b)| a - b)
-            .collect()
-    }
-
-    fn predict_uplift_block(&self, x: &Matrix) -> Vec<f64> {
-        let mu1 = self.mu1.as_ref().expect("TLearner: fit before predict");
-        let mu0 = self.mu0.as_ref().expect("TLearner: fit before predict");
-        let block = FeatureBlock::from_matrix(x);
-        mu1.predict_block(&block)
-            .iter()
-            .zip(&mu0.predict_block(&block))
-            .map(|(a, b)| a - b)
-            .collect()
-    }
 }
 
 /// X-learner (Künzel et al. 2019): T-learner first stage, then imputed
@@ -305,11 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn tlearner_recovers_heterogeneity() {
-        check_recovers(&mut TLearner::new(BaseLearner::default_forest()), 3, 0.5);
-    }
-
-    #[test]
     fn xlearner_recovers_heterogeneity() {
         // Ridge second stage gives X-learner a smooth tau model, which is
         // exactly right for the linear tau here.
@@ -336,15 +259,5 @@ mod tests {
     fn predict_before_fit_panics() {
         let m = SLearner::new(BaseLearner::default_ridge());
         let _ = m.predict_uplift(&Matrix::zeros(1, 2));
-    }
-
-    #[test]
-    fn tlearner_single_group_is_a_typed_error() {
-        let (x, _, y, _) = rct(100, 7);
-        let t = vec![1u8; 100];
-        let mut m = TLearner::new(BaseLearner::default_ridge());
-        let mut rng = Prng::seed_from_u64(8);
-        let err = m.fit(&x, &t, &y, &mut rng).unwrap_err();
-        assert!(matches!(err, crate::FitError::InvalidData(_)), "{err:?}");
     }
 }

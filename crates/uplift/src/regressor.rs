@@ -3,7 +3,7 @@
 use linalg::random::Prng;
 use linalg::{solve, Matrix};
 use tinyjson::{FromJson, JsonError, ToJson, Value};
-use trees::{GbtConfig, GradientBoostedTrees, RandomForest, RandomForestConfig};
+use trees::{RandomForest, RandomForestConfig};
 
 /// Which base regressor a meta-learner uses for its outcome models.
 #[derive(Debug, Clone)]
@@ -17,8 +17,6 @@ pub enum BaseLearner {
     },
     /// Random forest regression.
     Forest(RandomForestConfig),
-    /// Gradient-boosted trees (least-squares boosting).
-    Boosted(GbtConfig),
 }
 
 impl ToJson for BaseLearner {
@@ -26,7 +24,6 @@ impl ToJson for BaseLearner {
         let (tag, inner) = match self {
             BaseLearner::Ridge { lambda } => ("Ridge", lambda.to_json()),
             BaseLearner::Forest(c) => ("Forest", c.to_json()),
-            BaseLearner::Boosted(c) => ("Boosted", c.to_json()),
         };
         Value::Obj(vec![(tag.to_string(), inner)])
     }
@@ -41,11 +38,8 @@ impl FromJson for BaseLearner {
             [(tag, inner)] if tag == "Forest" => {
                 Ok(BaseLearner::Forest(RandomForestConfig::from_json(inner)?))
             }
-            [(tag, inner)] if tag == "Boosted" => {
-                Ok(BaseLearner::Boosted(GbtConfig::from_json(inner)?))
-            }
             _ => Err(JsonError::msg(
-                "BaseLearner: expected {\"Ridge\"|\"Forest\"|\"Boosted\": ...}",
+                "BaseLearner: expected {\"Ridge\"|\"Forest\": ...}",
             )),
         }
     }
@@ -65,14 +59,6 @@ impl BaseLearner {
         })
     }
 
-    /// A default gradient-boosted learner (50 depth-3 stages).
-    pub fn default_boosted() -> Self {
-        BaseLearner::Boosted(GbtConfig {
-            n_stages: 50,
-            ..GbtConfig::default()
-        })
-    }
-
     /// Fits the learner on `(x, y)`.
     pub fn fit(&self, x: &Matrix, y: &[f64], rng: &mut Prng) -> FittedRegressor {
         assert!(x.rows() > 0, "BaseLearner::fit: empty dataset");
@@ -86,9 +72,6 @@ impl BaseLearner {
             }
             BaseLearner::Forest(config) => {
                 FittedRegressor::Forest(RandomForest::fit(x, y, config, rng))
-            }
-            BaseLearner::Boosted(config) => {
-                FittedRegressor::Boosted(GradientBoostedTrees::fit(x, y, config, rng))
             }
         }
     }
@@ -104,8 +87,6 @@ pub enum FittedRegressor {
     },
     /// A fitted random forest.
     Forest(RandomForest),
-    /// A fitted gradient-boosted ensemble.
-    Boosted(GradientBoostedTrees),
 }
 
 impl ToJson for FittedRegressor {
@@ -113,7 +94,6 @@ impl ToJson for FittedRegressor {
         let (tag, inner) = match self {
             FittedRegressor::Ridge { beta } => ("Ridge", beta.to_json()),
             FittedRegressor::Forest(f) => ("Forest", f.to_json()),
-            FittedRegressor::Boosted(g) => ("Boosted", g.to_json()),
         };
         Value::Obj(vec![(tag.to_string(), inner)])
     }
@@ -128,11 +108,8 @@ impl FromJson for FittedRegressor {
             [(tag, inner)] if tag == "Forest" => {
                 Ok(FittedRegressor::Forest(RandomForest::from_json(inner)?))
             }
-            [(tag, inner)] if tag == "Boosted" => Ok(FittedRegressor::Boosted(
-                GradientBoostedTrees::from_json(inner)?,
-            )),
             _ => Err(JsonError::msg(
-                "FittedRegressor: expected {\"Ridge\"|\"Forest\"|\"Boosted\": ...}",
+                "FittedRegressor: expected {\"Ridge\"|\"Forest\": ...}",
             )),
         }
     }
@@ -149,7 +126,6 @@ impl FittedRegressor {
                     .expect("design width matches beta length")
             }
             FittedRegressor::Forest(f) => f.predict(x),
-            FittedRegressor::Boosted(g) => g.predict(x),
         }
     }
 
@@ -158,8 +134,8 @@ impl FittedRegressor {
     ///
     /// * Ridge runs as an `n = 1` GEMM through the micro-kernels, with
     ///   the intercept folded in as the bias.
-    /// * Forest/Boosted ensembles flatten into level-order batch
-    ///   traversal ([`trees::batch`]). Flattening happens **per call**
+    /// * Forests flatten into level-order batch traversal
+    ///   ([`trees::batch`]). Flattening happens **per call**
     ///   (`O(total nodes)`), amortized over the rows of the block — the
     ///   right trade for bulk scoring, wasteful for single rows.
     ///
@@ -181,7 +157,6 @@ impl FittedRegressor {
                 packed.apply(x, active_dispatch()).col_f64(0)
             }
             FittedRegressor::Forest(f) => trees::FlatForest::from_forest(f).predict_block(x),
-            FittedRegressor::Boosted(g) => trees::FlatGbt::from_gbt(g).predict_block(x),
         }
     }
 }
@@ -230,25 +205,6 @@ mod tests {
             .sum::<f64>()
             / y.len() as f64;
         assert!(mse < 0.1, "mse {mse}");
-    }
-
-    #[test]
-    fn boosted_learns_nonlinear_target() {
-        let mut rng = Prng::seed_from_u64(4);
-        let rows: Vec<Vec<f64>> = (0..600)
-            .map(|_| vec![rng.uniform(), rng.uniform()])
-            .collect();
-        let x = Matrix::from_rows(&rows);
-        let y: Vec<f64> = rows.iter().map(|r| (r[0] * 8.0).sin()).collect();
-        let model = BaseLearner::default_boosted().fit(&x, &y, &mut rng);
-        let preds = model.predict(&x);
-        let mse: f64 = preds
-            .iter()
-            .zip(&y)
-            .map(|(p, t)| (p - t) * (p - t))
-            .sum::<f64>()
-            / y.len() as f64;
-        assert!(mse < 0.05, "mse {mse}");
     }
 
     #[test]

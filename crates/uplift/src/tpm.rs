@@ -9,11 +9,10 @@
 
 use crate::causal_forest::CausalForestUplift;
 use crate::dragonnet::DragonNet;
-use crate::meta::{SLearner, TLearner, XLearner};
+use crate::meta::{SLearner, XLearner};
 use crate::nnutil::NetConfig;
 use crate::offsetnet::OffsetNet;
 use crate::regressor::BaseLearner;
-use crate::rlearner::RLearner;
 use crate::snet::SNet;
 use crate::tarnet::TarNet;
 use crate::{FitError, UpliftModel};
@@ -127,18 +126,6 @@ impl Tpm {
             Box::new(SNet::new(config)),
         )
     }
-
-    /// Predicted revenue uplift (for diagnostics/ablations).
-    pub fn predict_revenue_uplift(&self, x: &Matrix) -> Vec<f64> {
-        assert!(self.fitted, "Tpm: fit before predict");
-        self.revenue.predict_uplift(x)
-    }
-
-    /// Predicted cost uplift (for diagnostics/ablations).
-    pub fn predict_cost_uplift(&self, x: &Matrix) -> Vec<f64> {
-        assert!(self.fitted, "Tpm: fit before predict");
-        self.cost.predict_uplift(x)
-    }
 }
 
 /// Decodes a `{"<Tag>": <body>}` value produced by
@@ -154,9 +141,7 @@ pub fn component_from_tagged_json(
     match v.as_obj()? {
         [(tag, inner)] => match tag.as_str() {
             "SLearner" => Ok(Box::new(SLearner::from_json(inner)?)),
-            "TLearner" => Ok(Box::new(TLearner::from_json(inner)?)),
             "XLearner" => Ok(Box::new(XLearner::from_json(inner)?)),
-            "RLearner" => Ok(Box::new(RLearner::from_json(inner)?)),
             "CausalForest" => Ok(Box::new(CausalForestUplift::from_json(inner)?)),
             "DragonNet" => Ok(Box::new(DragonNet::from_json(inner)?)),
             "TarNet" => Ok(Box::new(TarNet::from_json(inner)?)),
