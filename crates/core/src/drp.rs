@@ -10,6 +10,7 @@ use linalg::Matrix;
 use nn::{mc_predict_map, Activation, McStats, Mlp, TrainConfig, Workspace};
 use obs::Obs;
 use uplift::error::{check_both_groups, check_xty};
+use uplift::nnutil::check_scaled_scalar_net;
 use uplift::FitError;
 
 /// Direct ROI Prediction: a one-hidden-layer network scoring `ŝ(x)` whose
@@ -29,10 +30,8 @@ struct Fitted {
     final_loss: Option<f64>,
 }
 
-tinyjson::json_struct!(Fitted {
-    scaler,
-    net,
-    final_loss
+tinyjson::json_struct!(Fitted { scaler, net, final_loss } check |f: &Fitted| {
+    check_scaled_scalar_net(&f.scaler, &f.net)
 });
 
 impl DrpModel {

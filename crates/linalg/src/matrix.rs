@@ -9,11 +9,29 @@ use crate::error::{Error, Result};
 use tinyjson::{FromJson, JsonError, ToJson, Value};
 
 /// A dense row-major matrix of `f64` values.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s allocation when it
+    /// is large enough (training buffers rely on this).
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -166,15 +184,29 @@ impl Matrix {
 
     /// Builds a new matrix from the rows at `indices` (rows may repeat).
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        let mut out = Matrix::default();
+        self.select_rows_into(indices, &mut out);
+        out
+    }
+
+    /// [`Matrix::select_rows`] written into `out`, which is reshaped and
+    /// reuses its allocation (a training loop's minibatch buffer).
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
+        out.rows = indices.len();
+        out.cols = self.cols;
+        out.data.clear();
+        out.data.reserve(indices.len() * self.cols);
         for &i in indices {
-            data.extend_from_slice(self.row(i));
+            out.data.extend_from_slice(self.row(i));
         }
-        Matrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        }
+    }
+
+    /// Makes `self` a `rows × cols` zero matrix, reusing its allocation.
+    pub fn set_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Stacks `self` on top of `other`.
@@ -333,11 +365,6 @@ impl Matrix {
         self.zip_with(rhs, "sub", |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "hadamard", |a, b| a * b)
-    }
-
     fn zip_with(
         &self,
         rhs: &Matrix,
@@ -378,27 +405,11 @@ impl Matrix {
         out
     }
 
-    /// Applies `f` to every element, returning a new matrix.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
     /// Applies `f` to every element in place.
     pub fn map_mut(&mut self, f: impl Fn(f64) -> f64) {
         for v in &mut self.data {
             *v = f(*v);
         }
-    }
-
-    /// Adds `rhs` (interpreted as a row vector) to every row.
-    pub fn add_row_vector(&self, rhs: &[f64]) -> Result<Matrix> {
-        let mut out = self.clone();
-        out.add_row_vector_mut(rhs)?;
-        Ok(out)
     }
 
     /// Adds `rhs` (interpreted as a row vector) to every row in place.
@@ -467,7 +478,7 @@ impl FromJson for Matrix {
         let rows = usize::from_json(v.fetch("rows"))?;
         let cols = usize::from_json(v.fetch("cols"))?;
         let data = Vec::<f64>::from_json(v.fetch("data"))?;
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(JsonError::msg(format!(
                 "Matrix: {} values do not fill a {rows}x{cols} shape",
                 data.len()
@@ -628,7 +639,6 @@ mod tests {
         let b = Matrix::from_rows(&[vec![3.0, 5.0]]);
         assert_eq!(a.add(&b).unwrap().row(0), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).unwrap().row(0), &[2.0, 3.0]);
-        assert_eq!(a.hadamard(&b).unwrap().row(0), &[3.0, 10.0]);
         assert_eq!(a.scale(2.0).row(0), &[2.0, 4.0]);
     }
 
@@ -645,6 +655,12 @@ mod tests {
         assert_eq!(s.rows(), 3);
         assert_eq!(s.row(0), &[3.0, 4.0]);
         assert_eq!(s.row(2), &[3.0, 4.0]);
+        // Into a stale, differently shaped buffer.
+        let mut into = Matrix::full(5, 7, f64::NAN);
+        v.select_rows_into(&[1, 0, 1], &mut into);
+        assert_eq!(into, s);
+        into.set_zeros(2, 3);
+        assert_eq!(into, Matrix::zeros(2, 3));
     }
 
     #[test]
@@ -652,7 +668,8 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0], vec![2.0]]);
         let with1 = a.with_const_col(1.0);
         assert_eq!(with1.row(0), &[1.0, 1.0]);
-        let shifted = a.add_row_vector(&[10.0]).unwrap();
+        let mut shifted = a.clone();
+        shifted.add_row_vector_mut(&[10.0]).unwrap();
         assert_eq!(shifted.col(0), vec![11.0, 12.0]);
     }
 
@@ -675,6 +692,10 @@ mod tests {
         let back: Matrix = tinyjson::from_str(&text).unwrap();
         assert_eq!(back, m);
         assert!(tinyjson::from_str::<Matrix>("{\"rows\":2,\"cols\":2,\"data\":[1]}").is_err());
+        // A shape whose element count overflows `usize` is rejected, not
+        // wrapped to the length of an empty `data`.
+        let huge = format!("{{\"rows\":{},\"cols\":2,\"data\":[]}}", 1u64 << 63);
+        assert!(tinyjson::from_str::<Matrix>(&huge).is_err());
     }
 
     #[test]

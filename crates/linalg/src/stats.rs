@@ -125,7 +125,13 @@ pub struct Standardizer {
     stds: Vec<f64>,
 }
 
-tinyjson::json_struct!(Standardizer { means, stds });
+tinyjson::json_struct!(Standardizer { means, stds } check |s: &Standardizer| {
+    if s.means.len() == s.stds.len() {
+        Ok(())
+    } else {
+        Err(format!("{} means but {} stds", s.means.len(), s.stds.len()))
+    }
+});
 
 impl Standardizer {
     /// Fits per-column mean/std on `x` (columns with zero variance get
@@ -245,5 +251,14 @@ mod tests {
         assert!(m[1].abs() < 1e-12);
         let col0 = z.col(0);
         assert!((std_dev(&col0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn standardizer_decode_requires_one_std_per_mean() {
+        let ok = r#"{"means": [0.5, 1.0], "stds": [2.0, 1.0]}"#;
+        assert!(tinyjson::from_str::<Standardizer>(ok).is_ok());
+        let bad = r#"{"means": [0.5, 1.0], "stds": [2.0]}"#;
+        let err = tinyjson::from_str::<Standardizer>(bad).unwrap_err();
+        assert!(err.to_string().contains("2 means but 1 stds"), "{err}");
     }
 }

@@ -51,18 +51,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Elementwise difference `a - b`.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "sub: length mismatch {} vs {}",
-        a.len(),
-        b.len()
-    );
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
 /// Elementwise quotient `a / b` with a guard against division by values
 /// whose magnitude is below `floor` (they are clamped to `±floor`).
 ///
@@ -279,10 +267,5 @@ mod tests {
         assert_eq!(out[1], 1e6);
         let neg = safe_div(&[1.0], &[-1e-12], 1e-6);
         assert_eq!(neg[0], -1e6);
-    }
-
-    #[test]
-    fn norm_and_sub() {
-        assert_eq!(sub(&[3.0], &[1.0]), vec![2.0]);
     }
 }

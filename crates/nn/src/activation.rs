@@ -108,6 +108,33 @@ impl Activation {
         }
     }
 
+    /// `(f(x), f'(x))`, bitwise equal to `(self.apply(x),
+    /// self.derivative(x))`. The training forward pass calls this once per
+    /// unit and keeps `f'` for backprop, so ELU, sigmoid and tanh evaluate
+    /// their libm call once instead of again in the backward pass.
+    #[inline]
+    pub fn apply_with_derivative(self, x: f64) -> (f64, f64) {
+        match self {
+            Activation::Sigmoid => {
+                let s = linalg::vector::sigmoid(x);
+                (s, s * (1.0 - s))
+            }
+            Activation::Tanh => {
+                let t = x.tanh();
+                (t, 1.0 - t * t)
+            }
+            Activation::Elu => {
+                if x >= 0.0 {
+                    (x, 1.0)
+                } else {
+                    let e = x.exp();
+                    (e - 1.0, e)
+                }
+            }
+            other => (other.apply(x), other.derivative(x)),
+        }
+    }
+
     /// Derivative `f'(x)` expressed in terms of the pre-activation `x`.
     #[inline]
     pub fn derivative(self, x: f64) -> f64 {
@@ -164,6 +191,28 @@ mod tests {
                     (numeric - analytic).abs() < 1e-5,
                     "{act:?} at {x}: numeric {numeric} vs analytic {analytic}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn apply_with_derivative_matches_the_separate_calls_bitwise() {
+        for act in ALL {
+            for &x in &[
+                f64::NEG_INFINITY,
+                -800.0,
+                -2.0,
+                -0.0,
+                0.0,
+                1e-300,
+                0.3,
+                40.0,
+                f64::INFINITY,
+                f64::NAN,
+            ] {
+                let (a, d) = act.apply_with_derivative(x);
+                assert_eq!(a.to_bits(), act.apply(x).to_bits(), "{act:?} f({x})");
+                assert_eq!(d.to_bits(), act.derivative(x).to_bits(), "{act:?} f'({x})");
             }
         }
     }

@@ -2,17 +2,19 @@
 
 use crate::activation::Activation;
 use crate::init::Init;
+use crate::Scratch;
 use linalg::random::Prng;
 use linalg::Matrix;
 use tinyjson::{FromJson, JsonError, ToJson, Value};
 
 /// A dense (fully connected) layer `y = f(x W + b)`.
 ///
-/// The layer caches its forward inputs and pre-activations so a subsequent
-/// [`Dense::backward`] call can compute parameter and input gradients.
-/// Gradients are *accumulated* into `grad_w`/`grad_b` and cleared by
-/// [`Dense::zero_grad`], which lets multi-head networks sum gradient
-/// contributions from several heads before an optimizer step.
+/// A caching forward pass keeps its input batch and `f'(x W + b)` so a
+/// subsequent [`Dense::backward`] call can compute parameter and input
+/// gradients. Gradients are *accumulated* into `grad_w`/`grad_b` and
+/// cleared by [`Dense::zero_grad`], which lets multi-head networks sum
+/// gradient contributions from several heads before an optimizer step.
+/// The forward and backward buffers are reused from step to step.
 ///
 /// Inference never touches the caches: [`Dense::infer_into`] is `&self`
 /// and writes into a caller-provided buffer, so a trained layer can be
@@ -26,9 +28,30 @@ pub struct Dense {
     activation: Activation,
     grad_w: Matrix,
     grad_b: Vec<f64>,
-    // Forward caches (input batch and pre-activation batch).
-    cache_x: Option<Matrix>,
-    cache_z: Option<Matrix>,
+    train: Scratch<Cache>,
+}
+
+/// What a training step keeps from forward to backward, and the backward
+/// pass's buffers.
+#[derive(Debug, Default)]
+struct Cache {
+    /// Whether `x` and `fprime` belong to the latest forward pass.
+    cached: bool,
+    /// Input batch of the latest caching forward pass.
+    x: Matrix,
+    /// `f'(z)` of the latest caching forward pass, laid out like `out`.
+    fprime: Vec<f64>,
+    /// Output of the latest forward pass.
+    out: Matrix,
+    /// `δ = dL/dy ⊙ f'(z)`.
+    delta: Vec<f64>,
+    /// `xᵀδ`, summed from zero before it is added to `grad_w`.
+    gw: Vec<f64>,
+    /// Column sums of `δ`, summed from zero before they are added to
+    /// `grad_b`.
+    gb: Vec<f64>,
+    /// `dL/dx` of the latest backward pass that computed it.
+    dx: Matrix,
 }
 
 /// Serialized form of a [`Dense`] layer: weights, biases, activation —
@@ -39,7 +62,13 @@ struct DenseSpec {
     activation: Activation,
 }
 
-tinyjson::json_struct!(DenseSpec { w, b, activation });
+tinyjson::json_struct!(DenseSpec { w, b, activation } check |d: &DenseSpec| {
+    if d.b.len() == d.w.cols() {
+        Ok(())
+    } else {
+        Err(format!("{} biases for {} units", d.b.len(), d.w.cols()))
+    }
+});
 
 impl ToJson for Dense {
     fn to_json(&self) -> Value {
@@ -68,8 +97,7 @@ impl From<DenseSpec> for Dense {
             activation: spec.activation,
             grad_w,
             grad_b,
-            cache_x: None,
-            cache_z: None,
+            train: Scratch::default(),
         }
     }
 }
@@ -100,8 +128,7 @@ impl Dense {
             activation,
             grad_w: Matrix::zeros(fan_in, fan_out),
             grad_b: vec![0.0; fan_out],
-            cache_x: None,
-            cache_z: None,
+            train: Scratch::default(),
         }
     }
 
@@ -120,24 +147,36 @@ impl Dense {
         self.activation
     }
 
-    /// Forward pass on a batch (rows are samples).
+    /// Forward pass on a batch (rows are samples), written into the
+    /// layer's reusable output buffer.
     ///
-    /// When `cache` is true the inputs and pre-activations are retained
-    /// for [`Dense::backward`]; inference passes should use `cache = false`
-    /// to avoid the allocation.
+    /// When `cache` is true the input batch and `f'(z)` are retained for
+    /// [`Dense::backward`]; `f'` comes out of the same call that applies
+    /// the activation, so ELU's derivative reuses the forward `exp(z)`.
+    /// Performs the floating-point operations of [`Dense::infer_into`] in
+    /// the same order, so the output is bitwise identical.
     #[allow(clippy::expect_used)] // shape invariants upheld by construction
-    pub fn forward(&mut self, x: &Matrix, cache: bool) -> Matrix {
-        let z = x
-            .matmul(&self.w)
-            .expect("Dense::forward: input width must equal fan_in")
-            .add_row_vector(&self.b)
+    pub fn forward(&mut self, x: &Matrix, cache: bool) -> &Matrix {
+        let c = &mut *self.train;
+        x.matmul_into(&self.w, &mut c.out)
+            .expect("Dense::forward: input width must equal fan_in");
+        c.out
+            .add_row_vector_mut(&self.b)
             .expect("bias length matches fan_out by construction");
-        let a = z.map(|v| self.activation.apply(v));
+        let act = self.activation;
+        c.cached = cache;
         if cache {
-            self.cache_x = Some(x.clone());
-            self.cache_z = Some(z);
+            c.x.clone_from(x);
+            c.fprime.clear();
+            c.fprime.extend(c.out.as_mut_slice().iter_mut().map(|v| {
+                let (a, d) = act.apply_with_derivative(*v);
+                *v = a;
+                d
+            }));
+        } else {
+            c.out.map_mut(|v| act.apply(v));
         }
-        a
+        &c.out
     }
 
     /// Immutable inference pass: computes `f(x W + b)` into `out`,
@@ -154,50 +193,113 @@ impl Dense {
         out.map_mut(|v| self.activation.apply(v));
     }
 
-    /// Backward pass: given `dL/dy` for the batch of the latest cached
-    /// forward call, accumulates `dL/dW`, `dL/db` and returns `dL/dx`.
+    /// Backward pass: given `dL/dy` for the batch of the latest caching
+    /// forward call, accumulates `dL/dW` and `dL/db` and, when
+    /// `input_grad` is set, computes `dL/dx` for [`Dense::input_grad`].
+    /// A network's first layer passes `false` where nothing reads it.
+    ///
+    /// Every gradient element is summed in the order the textbook
+    /// products `xᵀ·δ` and `δ·Wᵀ` take in [`Matrix::matmul`] — from zero,
+    /// over the shared index in order, skipping zero left-hand factors —
+    /// but without building either transpose.
     ///
     /// # Panics
-    /// Panics if no cached forward pass is available.
-    #[allow(clippy::expect_used)] // shape invariants upheld by construction
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self
-            .cache_x
-            .as_ref()
-            .expect("Dense::backward: call forward(cache=true) first");
-        let z = self.cache_z.as_ref().expect("cache_z set with cache_x");
+    /// Panics if the latest forward pass did not cache, or `grad_out` is
+    /// not shaped like its output.
+    pub fn backward(&mut self, grad_out: &Matrix, input_grad: bool) {
+        let c = &mut *self.train;
+        assert!(c.cached, "Dense::backward: call forward(cache=true) first");
+        let (fan_in, fan_out) = self.w.shape();
         assert_eq!(
             grad_out.shape(),
-            (x.rows(), self.w.cols()),
+            (c.x.rows(), fan_out),
             "Dense::backward: gradient shape mismatch"
         );
-        // delta = grad_out ⊙ f'(z)
-        let fprime = z.map(|v| self.activation.derivative(v));
-        let delta = grad_out
-            .hadamard(&fprime)
-            .expect("shapes equal by construction");
-        // dW += x^T delta ; db += column sums of delta
-        let gw = x
-            .transpose()
-            .matmul(&delta)
-            .expect("x^T (d x n) times delta (n x m)");
-        self.grad_w = self
-            .grad_w
-            .add(&gw)
-            .expect("accumulator has fixed weight shape");
-        for (acc, v) in self.grad_b.iter_mut().zip(delta.col_sums()) {
-            *acc += v;
+        // Chunk widths; a zero-width side has no elements to visit.
+        let (k_w, m_w) = (fan_in.max(1), fan_out.max(1));
+        c.delta.clear();
+        c.delta.extend(
+            grad_out
+                .as_slice()
+                .iter()
+                .zip(&c.fprime)
+                .map(|(&g, &d)| g * d),
+        );
+        // ΔW = xᵀδ: gw[k][j] sums x[i][k]·δ[i][j] over rows i.
+        c.gw.clear();
+        c.gw.resize(fan_in * fan_out, 0.0);
+        if fan_out == 1 {
+            for (x_row, &d) in c.x.as_slice().chunks_exact(k_w).zip(&c.delta) {
+                for (g, &a) in c.gw.iter_mut().zip(x_row) {
+                    // Adding +0.0 is the skip: a sum that starts at +0.0
+                    // never becomes -0.0.
+                    *g += if a == 0.0 { 0.0 } else { a * d };
+                }
+            }
+        } else {
+            for (x_row, d_row) in
+                c.x.as_slice()
+                    .chunks_exact(k_w)
+                    .zip(c.delta.chunks_exact(m_w))
+            {
+                for (g_row, &a) in c.gw.chunks_exact_mut(m_w).zip(x_row) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (g, &d) in g_row.iter_mut().zip(d_row) {
+                        *g += a * d;
+                    }
+                }
+            }
         }
-        // dX = delta W^T
-        delta
-            .matmul(&self.w.transpose())
-            .expect("delta (n x m) times W^T (m x d)")
+        for (acc, &g) in self.grad_w.as_mut_slice().iter_mut().zip(&c.gw) {
+            *acc += g;
+        }
+        c.gb.clear();
+        c.gb.resize(fan_out, 0.0);
+        for d_row in c.delta.chunks_exact(m_w) {
+            for (s, &d) in c.gb.iter_mut().zip(d_row) {
+                *s += d;
+            }
+        }
+        for (acc, &s) in self.grad_b.iter_mut().zip(&c.gb) {
+            *acc += s;
+        }
+        if input_grad {
+            // dX = δWᵀ: dx[i][k] sums δ[i][j]·w[k][j] over units j.
+            c.dx.set_zeros(c.x.rows(), fan_in);
+            let w = self.w.as_slice();
+            for (dx_row, d_row) in
+                c.dx.as_mut_slice()
+                    .chunks_exact_mut(k_w)
+                    .zip(c.delta.chunks_exact(m_w))
+            {
+                for (j, &a) in d_row.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (o, &w_kj) in dx_row.iter_mut().zip(w[j..].iter().step_by(fan_out)) {
+                        *o += a * w_kj;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `dL/dx` from the latest [`Dense::backward`] that computed it.
+    pub fn input_grad(&self) -> &Matrix {
+        &self.train.dx
+    }
+
+    /// Output of the latest [`Dense::forward`].
+    pub(crate) fn output(&self) -> &Matrix {
+        &self.train.out
     }
 
     /// Clears accumulated gradients.
     pub fn zero_grad(&mut self) {
-        self.grad_w = Matrix::zeros(self.w.rows(), self.w.cols());
-        self.grad_b.iter_mut().for_each(|v| *v = 0.0);
+        self.grad_w.as_mut_slice().fill(0.0);
+        self.grad_b.fill(0.0);
     }
 
     /// Parameter count (weights + biases).
@@ -208,13 +310,8 @@ impl Dense {
     /// Visits `(params, grads)` for the weight matrix and bias vector.
     /// Used by optimizers; the visitation order is stable.
     pub fn visit_params(&mut self, mut f: impl FnMut(&mut [f64], &[f64])) {
-        // Safety note: we need simultaneous access to params and grads of
-        // the same struct; split via raw parts is avoided by cloning the
-        // (small) gradient buffers.
-        let gw = self.grad_w.as_slice().to_vec();
-        f(self.w.as_mut_slice(), &gw);
-        let gb = self.grad_b.clone();
-        f(&mut self.b, &gb);
+        f(self.w.as_mut_slice(), self.grad_w.as_slice());
+        f(&mut self.b, &self.grad_b);
     }
 
     /// Read-only view of the weights (for tests and diagnostics).
@@ -250,7 +347,7 @@ mod tests {
         let mut rng = Prng::seed_from_u64(3);
         let mut l = Dense::new(2, 1, Activation::Identity, Init::XavierUniform, &mut rng);
         let x = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![0.0, 0.0]]);
-        let y = l.forward(&x, false);
+        let y = l.forward(&x, false).clone();
         let w = l.weights();
         // Row 2 is the bias alone; rows 0/1 add one weight each.
         assert!((y.get(2, 0) - l.biases()[0]).abs() < 1e-12);
@@ -275,7 +372,8 @@ mod tests {
             let ones = Matrix::full(2, 3, 1.0);
             l.zero_grad();
             let _ = l.forward(&x, true);
-            let grad_x = l.backward(&ones);
+            l.backward(&ones, true);
+            let grad_x = l.input_grad().clone();
 
             let eps = 1e-6;
             // Check a few weight gradients.
@@ -309,7 +407,7 @@ mod tests {
     fn infer_into_matches_forward_bitwise() {
         let mut l = layer(4, 3, Activation::Elu);
         let x = Matrix::from_rows(&[vec![0.5, -1.0, 2.0, 0.1], vec![1.5, 0.3, -0.7, -0.2]]);
-        let want = l.forward(&x, false);
+        let want = l.forward(&x, false).clone();
         let mut out = Matrix::full(1, 1, f64::NAN); // stale scratch
         l.infer_into(&x, &mut out);
         assert_eq!(out, want);
@@ -322,10 +420,10 @@ mod tests {
         let g = Matrix::full(1, 1, 1.0);
         l.zero_grad();
         let _ = l.forward(&x, true);
-        let _ = l.backward(&g);
+        l.backward(&g, false);
         let once = l.grad_w.clone();
         let _ = l.forward(&x, true);
-        let _ = l.backward(&g);
+        l.backward(&g, false);
         let twice = l.grad_w.clone();
         assert_eq!(twice, once.scale(2.0));
         l.zero_grad();
@@ -336,7 +434,34 @@ mod tests {
     #[should_panic(expected = "forward(cache=true)")]
     fn backward_without_forward_panics() {
         let mut l = layer(2, 1, Activation::Identity);
-        l.backward(&Matrix::zeros(1, 1));
+        l.backward(&Matrix::zeros(1, 1), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "forward(cache=true)")]
+    fn backward_after_an_uncached_forward_panics() {
+        let mut l = layer(2, 1, Activation::Identity);
+        let x = Matrix::zeros(1, 2);
+        let _ = l.forward(&x, true);
+        let _ = l.forward(&x, false);
+        l.backward(&Matrix::zeros(1, 1), true);
+    }
+
+    #[test]
+    fn decode_rejects_a_bias_that_does_not_fit_the_weights() {
+        let l = layer(3, 2, Activation::Elu);
+        let good = l.to_json();
+        assert!(Dense::from_json(&good).is_ok());
+        let Value::Obj(mut fields) = good else {
+            panic!("a layer serializes to an object")
+        };
+        for (k, v) in &mut fields {
+            if k == "b" {
+                *v = vec![0.0].to_json();
+            }
+        }
+        let err = Dense::from_json(&Value::Obj(fields)).unwrap_err();
+        assert!(err.to_string().contains("1 biases for 2 units"), "{err}");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! distribution of predictions whose standard deviation `r̂(x)` feeds the
 //! conformal score of Eq. (3).
 
+use crate::Scratch;
 use linalg::random::Prng;
 use linalg::Matrix;
 use tinyjson::{FromJson, JsonError, ToJson, Value};
@@ -35,7 +36,22 @@ impl Mode {
 #[derive(Debug, Clone)]
 pub struct Dropout {
     p: f64,
-    mask: Option<Matrix>,
+    train: Scratch<Cache>,
+}
+
+/// The training mask and the forward/backward buffers, reused from step
+/// to step.
+#[derive(Debug, Default)]
+struct Cache {
+    /// Whether `mask` belongs to the latest forward pass (a
+    /// [`Mode::Train`] pass at `p > 0`).
+    masked: bool,
+    /// `1/(1-p)` or `0.0` per element, row-major.
+    mask: Vec<f64>,
+    /// Output of the latest forward pass.
+    out: Matrix,
+    /// `dL/dx` of the latest backward pass.
+    dx: Matrix,
 }
 
 impl ToJson for Dropout {
@@ -79,7 +95,10 @@ impl Dropout {
             (0.0..1.0).contains(&p),
             "dropout probability must be in [0, 1), got {p}"
         );
-        Dropout { p, mask: None }
+        Dropout {
+            p,
+            train: Scratch::default(),
+        }
     }
 
     /// The configured drop probability.
@@ -87,30 +106,27 @@ impl Dropout {
         self.p
     }
 
-    /// Forward pass. In stochastic modes a fresh mask is sampled; in
-    /// [`Mode::Eval`] the layer is the identity.
-    #[allow(clippy::expect_used)] // shape invariants upheld by construction
-    pub fn forward(&mut self, x: &Matrix, mode: Mode, rng: &mut Prng) -> Matrix {
+    /// Forward pass into the layer's reusable output buffer. In
+    /// stochastic modes a fresh mask is sampled (row-major, like
+    /// [`Dropout::infer_inplace`]); in [`Mode::Eval`] the layer is the
+    /// identity. Only [`Mode::Train`] keeps the mask for backprop.
+    pub fn forward(&mut self, x: &Matrix, mode: Mode, rng: &mut Prng) -> &Matrix {
+        let c = &mut *self.train;
+        c.out.clone_from(x);
+        c.masked = false;
         if !mode.stochastic() || self.p == 0.0 {
-            self.mask = None;
-            return x.clone();
+            return &c.out;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask = Matrix::from_vec(
-            x.rows(),
-            x.cols(),
-            (0..x.rows() * x.cols())
-                .map(|_| if rng.bernoulli(keep) { scale } else { 0.0 })
-                .collect(),
-        );
-        let out = x.hadamard(&mask).expect("mask shaped like input");
-        self.mask = if mode == Mode::Train {
-            Some(mask)
-        } else {
-            None
-        };
-        out
+        c.mask.clear();
+        for v in c.out.as_mut_slice() {
+            let m = if rng.bernoulli(keep) { scale } else { 0.0 };
+            c.mask.push(m);
+            *v *= m;
+        }
+        c.masked = mode == Mode::Train;
+        &c.out
     }
 
     /// Immutable inference pass: applies a freshly sampled mask to `x` in
@@ -145,18 +161,39 @@ impl Dropout {
     ///
     /// # Panics
     /// Panics if the latest forward pass was not in [`Mode::Train`]
-    /// (no mask is retained in other modes).
-    #[allow(clippy::expect_used)] // shape invariants upheld by construction
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        match &self.mask {
-            Some(mask) => grad_out
-                .hadamard(mask)
-                .expect("gradient shaped like forward input"),
-            // With p == 0 the forward pass was the identity even in Train
-            // mode, so the gradient passes through unchanged.
-            None if self.p == 0.0 => grad_out.clone(),
-            None => panic!("Dropout::backward: no training mask (was forward run in Train mode?)"),
+    /// (no mask is retained in other modes), or `grad_out` is not shaped
+    /// like its input.
+    pub fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
+        let c = &mut *self.train;
+        c.dx.clone_from(grad_out);
+        // With p == 0 the forward pass was the identity even in Train
+        // mode, so the gradient passes through unchanged.
+        if self.p == 0.0 {
+            return &c.dx;
         }
+        assert!(
+            c.masked,
+            "Dropout::backward: no training mask (was forward run in Train mode?)"
+        );
+        assert_eq!(
+            grad_out.shape(),
+            c.out.shape(),
+            "Dropout::backward: gradient not shaped like the forward input"
+        );
+        for (g, &m) in c.dx.as_mut_slice().iter_mut().zip(&c.mask) {
+            *g *= m;
+        }
+        &c.dx
+    }
+
+    /// Output of the latest [`Dropout::forward`].
+    pub(crate) fn output(&self) -> &Matrix {
+        &self.train.out
+    }
+
+    /// `dL/dx` of the latest [`Dropout::backward`].
+    pub(crate) fn input_grad(&self) -> &Matrix {
+        &self.train.dx
     }
 }
 
@@ -169,7 +206,7 @@ mod tests {
         let mut d = Dropout::new(0.5);
         let mut rng = Prng::seed_from_u64(0);
         let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(d.forward(&x, Mode::Eval, &mut rng), x);
+        assert_eq!(*d.forward(&x, Mode::Eval, &mut rng), x);
     }
 
     #[test]
@@ -177,8 +214,8 @@ mod tests {
         let mut d = Dropout::new(0.0);
         let mut rng = Prng::seed_from_u64(0);
         let x = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        assert_eq!(d.forward(&x, Mode::Train, &mut rng), x);
-        assert_eq!(d.backward(&x), x);
+        assert_eq!(*d.forward(&x, Mode::Train, &mut rng), x);
+        assert_eq!(*d.backward(&x), x);
     }
 
     #[test]
@@ -199,7 +236,7 @@ mod tests {
         let mut d = Dropout::new(0.5);
         let mut rng = Prng::seed_from_u64(1);
         let x = Matrix::full(2, 8, 1.0);
-        let y = d.forward(&x, Mode::Train, &mut rng);
+        let y = d.forward(&x, Mode::Train, &mut rng).clone();
         let g = d.backward(&Matrix::full(2, 8, 1.0));
         // Gradient is zero exactly where the forward output is zero.
         for (a, b) in y.as_slice().iter().zip(g.as_slice()) {
@@ -212,8 +249,8 @@ mod tests {
         let mut d = Dropout::new(0.5);
         let mut rng = Prng::seed_from_u64(2);
         let x = Matrix::full(1, 64, 1.0);
-        let a = d.forward(&x, Mode::McDropout, &mut rng);
-        let b = d.forward(&x, Mode::McDropout, &mut rng);
+        let a = d.forward(&x, Mode::McDropout, &mut rng).clone();
+        let b = d.forward(&x, Mode::McDropout, &mut rng).clone();
         assert_ne!(a, b, "two MC passes should use different masks");
     }
 
@@ -222,7 +259,7 @@ mod tests {
         let d = Dropout::new(0.4);
         let x = Matrix::from_rows(&[vec![1.0, -2.0, 3.0], vec![-4.0, 5.0, -6.0]]);
         let mut fwd_rng = Prng::seed_from_u64(17);
-        let want = d.clone().forward(&x, Mode::McDropout, &mut fwd_rng);
+        let want = d.clone().forward(&x, Mode::McDropout, &mut fwd_rng).clone();
         let mut inf_rng = Prng::seed_from_u64(17);
         let mut got = x.clone();
         d.infer_inplace(&mut got, Mode::McDropout, &mut inf_rng);

@@ -135,6 +135,8 @@ pub fn train_arm_heads(
     let mut opt = Adam::new(config.lr);
     let mut order: Vec<usize> = (0..n).collect();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
+    // The minibatch's rows, rebuilt in place every step.
+    let mut xb = Matrix::default();
     for epoch in 0..config.epochs {
         if config.shuffle {
             rng.shuffle(&mut order);
@@ -142,7 +144,7 @@ pub fn train_arm_heads(
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(batch) {
-            let xb = x.select_rows(chunk);
+            x.select_rows_into(chunk, &mut xb);
             net.zero_grad();
             let outs = net.forward(&xb, Mode::Train, rng);
             let m = chunk.len() as f64;

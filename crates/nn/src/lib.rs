@@ -52,3 +52,32 @@ pub use multihead::MultiHeadNet;
 pub use objective::{BceObjective, MseObjective, Objective};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use trainer::{train, Recovery, TrainConfig, TrainReport};
+
+/// Training buffers a layer reuses from one step to the next, boxed so
+/// they do not widen the layer.
+///
+/// A clone starts with empty buffers: they hold only the latest batch,
+/// which belongs to the original network, and copying them would make
+/// every trainer checkpoint and MC-rate variant pay for a batch it never
+/// backpropagates.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch<T>(Box<T>);
+
+impl<T: Default> Clone for Scratch<T> {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl<T> std::ops::Deref for Scratch<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}

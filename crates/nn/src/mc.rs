@@ -5,10 +5,22 @@
 //! an (optionally smoothed) point prediction and their standard deviation
 //! is the uncertainty scalar `r̂(x)` that the conformal score (Eq. 3)
 //! normalizes by. Section IV-D notes the passes are embarrassingly
-//! parallel — we parallelize over passes with scoped worker threads,
-//! each reusing one scratch [`Workspace`] across all of its passes.
+//! parallel — we parallelize over passes with scoped worker threads.
+//!
+//! The layers before the first dropout draw no random numbers, so they
+//! are the same in every pass. When the rest of the network is exactly
+//! `[Dropout, Dense(→1)]` — DRP and Direct Rank — a sweep evaluates that
+//! prefix once and runs each pass row by row, fusing the dropout draw
+//! with the final dot product. Any other layer list runs the whole
+//! [`Mlp::infer`] per pass, each worker reusing one scratch
+//! [`Workspace`]. Both paths produce bitwise the same statistics: masks
+//! are drawn in the same row-major order from the same per-pass RNGs, a
+//! zero masked activation is skipped as [`Matrix::matmul_into`] skips
+//! it, and passes are aggregated in pass order.
 
-use crate::mlp::{Mlp, Workspace};
+use crate::dense::Dense;
+use crate::dropout::Dropout;
+use crate::mlp::{Layer, Mlp, Workspace};
 use crate::Mode;
 use linalg::random::Prng;
 use linalg::Matrix;
@@ -28,10 +40,10 @@ pub struct McStats {
 /// per-sample mean and standard deviation of the scalar output.
 ///
 /// Passes run in parallel against the shared `&Mlp` — no per-pass network
-/// clone. Each worker thread owns one reusable [`Workspace`] for all of
-/// its passes; the per-pass RNGs are forked from `rng` up front, so
-/// results are deterministic given the seed *and* independent of thread
-/// scheduling.
+/// clone. The per-pass RNGs are forked from `rng` up front, so results
+/// are deterministic given the seed *and* independent of thread
+/// scheduling. A network ending in `[Dropout, Dense(→1)]` computes the
+/// layers before the dropout once per call (see the module docs).
 ///
 /// A zero standard deviation can occur (e.g. a ReLU network that drops the
 /// same dead units every pass); callers that divide by the std — the
@@ -94,14 +106,22 @@ fn mc_predict_map_inner(
     // Fork one RNG per pass up front (deterministic order).
     let pass_rngs: Vec<Prng> = (0..passes).map(|_| rng.fork()).collect();
 
-    let outputs: Vec<Vec<f64>> =
-        par::par_map_init(pass_rngs, Workspace::new, |ws, mut pass_rng| {
+    let outputs: Vec<Vec<f64>> = match dropout_head(net) {
+        Some((prefix, dropout, head)) => {
+            let mut bufs = [Matrix::default(), Matrix::default()];
+            let h = eval_prefix(prefix, x, &mut bufs);
+            par::par_map(pass_rngs, |mut pass_rng| {
+                fused_pass(h, dropout, head, &mut pass_rng, &transform)
+            })
+        }
+        None => par::par_map_init(pass_rngs, Workspace::new, |ws, mut pass_rng| {
             let mut out = net.infer(x, Mode::McDropout, &mut pass_rng, ws).col(0);
             for v in &mut out {
                 *v = transform(*v);
             }
             out
-        });
+        }),
+    };
 
     let mut mean = vec![0.0; n];
     for pass in &outputs {
@@ -124,6 +144,78 @@ fn mc_predict_map_inner(
         .map(|v| (v * inv).sqrt().max(std_floor))
         .collect();
     McStats { mean, std, passes }
+}
+
+/// Splits `net` into the dense layers before its first dropout and the
+/// `[Dropout, Dense(→1)]` tail after them, when the layer list has that
+/// shape.
+fn dropout_head(net: &Mlp) -> Option<(&[Layer], &Dropout, &Dense)> {
+    let layers = net.layers();
+    let first_dropout = layers.iter().position(|l| matches!(l, Layer::Dropout(_)))?;
+    match &layers[first_dropout..] {
+        [Layer::Dropout(dropout), Layer::Dense(head)] if head.fan_out() == 1 => {
+            Some((&layers[..first_dropout], dropout, head))
+        }
+        _ => None,
+    }
+}
+
+/// Runs the random-free `prefix` (dense layers only) on `x` in
+/// [`Mode::Eval`], ping-ponging through `bufs` like [`Mlp::infer`];
+/// returns `x` itself when the prefix is empty.
+fn eval_prefix<'a>(prefix: &[Layer], x: &'a Matrix, bufs: &'a mut [Matrix; 2]) -> &'a Matrix {
+    let mut started = false;
+    for layer in prefix {
+        if let Layer::Dense(d) = layer {
+            let [cur, nxt] = &mut *bufs;
+            d.infer_into(if started { cur } else { x }, nxt);
+            std::mem::swap(cur, nxt);
+            started = true;
+        }
+    }
+    if started {
+        &bufs[0]
+    } else {
+        x
+    }
+}
+
+/// One MC pass through a `[Dropout, Dense(→1)]` tail over the prefix
+/// output `h`. Per row it draws the mask elements in the order
+/// [`Dropout::infer_inplace`] draws them and forms `a = h·m`; it adds
+/// `a·w` in index order as [`Matrix::matmul_into`] does, skipping
+/// `a == 0`, then adds the bias and applies the activation and
+/// `transform`. At `p == 0` it neither draws nor multiplies, like
+/// [`Dropout::infer_inplace`].
+fn fused_pass(
+    h: &Matrix,
+    dropout: &Dropout,
+    head: &Dense,
+    rng: &mut Prng,
+    transform: &impl Fn(f64) -> f64,
+) -> Vec<f64> {
+    let w = head.weights().as_slice();
+    let b = head.biases()[0];
+    let act = head.activation();
+    let p = dropout.p();
+    let keep = 1.0 - p;
+    let scale = 1.0 / keep;
+    (0..h.rows())
+        .map(|i| {
+            let mut acc = 0.0;
+            for (&v, &w_k) in h.row(i).iter().zip(w) {
+                let a = if p == 0.0 {
+                    v
+                } else {
+                    v * if rng.bernoulli(keep) { scale } else { 0.0 }
+                };
+                // Adding +0.0 is the skip: the sum starts at +0.0 and
+                // never becomes -0.0.
+                acc += if a == 0.0 { 0.0 } else { a * w_k };
+            }
+            transform(act.apply(acc + b))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -182,41 +274,185 @@ mod tests {
     }
 
     /// Reference implementation of the pre-workspace design: clone the
-    /// network for every pass and run the mutable training-style forward.
-    fn mc_clone_per_pass(net: &Mlp, x: &Matrix, passes: usize, rng: &mut Prng) -> Vec<Vec<f64>> {
+    /// network for every pass and run the mutable training-style forward,
+    /// then aggregate as `mc_predict_map` does.
+    fn mc_clone_per_pass(
+        net: &Mlp,
+        x: &Matrix,
+        passes: usize,
+        std_floor: f64,
+        rng: &mut Prng,
+        transform: impl Fn(f64) -> f64,
+    ) -> (Vec<f64>, Vec<f64>) {
         let pass_rngs: Vec<Prng> = (0..passes).map(|_| rng.fork()).collect();
-        pass_rngs
+        let outputs: Vec<Vec<f64>> = pass_rngs
             .into_iter()
             .map(|mut pass_rng| {
                 let mut local = Mlp::clone(net);
-                local.forward(x, Mode::McDropout, &mut pass_rng).col(0)
+                let out = local.forward(x, Mode::McDropout, &mut pass_rng);
+                out.col(0).into_iter().map(&transform).collect()
             })
-            .collect()
+            .collect();
+        let inv = 1.0 / passes as f64;
+        let mut mean = vec![0.0; x.rows()];
+        for pass in &outputs {
+            for (m, &v) in mean.iter_mut().zip(pass) {
+                *m += v;
+            }
+        }
+        for m in &mut mean {
+            *m *= inv;
+        }
+        let mut var = vec![0.0; x.rows()];
+        for pass in &outputs {
+            for ((s, &v), &m) in var.iter_mut().zip(pass).zip(&mean) {
+                *s += (v - m) * (v - m);
+            }
+        }
+        let std = var
+            .into_iter()
+            .map(|v| (v * inv).sqrt().max(std_floor))
+            .collect();
+        (mean, std)
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Both sweep paths — the hoisted prefix with the fused
+    /// `[Dropout, Dense(→1)]` tail, and the per-pass `Mlp::infer`
+    /// fallback — against the clone-per-pass reference: means, stds and
+    /// the caller's RNG state after the call, bit for bit.
     #[test]
     fn zero_clone_path_matches_clone_per_pass_bitwise() {
-        let net = net_with_dropout(21, 0.25);
-        let x = Matrix::from_rows(&vec![vec![0.3, -0.7, 1.2]; 5]);
-        for seed in [0u64, 1, 42, 0x5C0BE] {
-            let mut ref_rng = Prng::seed_from_u64(seed);
-            let reference = mc_clone_per_pass(&net, &x, 16, &mut ref_rng);
-            let mut mean = vec![0.0; x.rows()];
-            for pass in &reference {
-                for (m, &v) in mean.iter_mut().zip(pass) {
-                    *m += v;
+        let mut rng = Prng::seed_from_u64(21);
+        let fit_x = Matrix::from_vec(32, 3, rng.gaussian_vec(96));
+        let fit_y = rng.gaussian_vec(32);
+        // A few epochs move every bias off its zero initialization, so the
+        // order in which the bias joins the sum is visible.
+        let trained = |mut net: Mlp, rng: &mut Prng| {
+            let cfg = crate::TrainConfig {
+                epochs: 3,
+                batch_size: 8,
+                lr: 0.05,
+                ..crate::TrainConfig::default()
+            };
+            let objective = crate::MseObjective::new(fit_y.clone());
+            crate::train(
+                &mut net,
+                &fit_x,
+                &objective,
+                &cfg,
+                rng,
+                &obs::Obs::disabled(),
+            )
+            .unwrap();
+            net
+        };
+        let build = |plan: &[(usize, Option<f64>)], rng: &mut Prng| {
+            let mut b = Mlp::builder(3);
+            for &(units, p) in plan {
+                b = match p {
+                    Some(p) => b.dropout(p),
+                    None => b.dense(units, Activation::Elu),
+                };
+            }
+            let net = b.dense(1, Activation::Identity).build(rng);
+            trained(net, rng)
+        };
+        // (name, plan before the output unit, takes the fused path)
+        let nets: Vec<(&str, Mlp, bool)> = vec![
+            (
+                "drp shape",
+                build(&[(16, None), (0, Some(0.25))], &mut rng),
+                true,
+            ),
+            (
+                "width 7",
+                build(&[(7, None), (0, Some(0.5))], &mut rng),
+                true,
+            ),
+            (
+                "p = 0",
+                build(&[(16, None), (0, Some(0.0))], &mut rng),
+                true,
+            ),
+            (
+                "two hidden",
+                build(&[(6, None), (5, None), (0, Some(0.3))], &mut rng),
+                true,
+            ),
+            ("dropout first", build(&[(0, Some(0.3))], &mut rng), true),
+            ("no dropout", build(&[(9, None)], &mut rng), false),
+            (
+                "two dropouts",
+                build(
+                    &[(6, None), (0, Some(0.2)), (5, None), (0, Some(0.4))],
+                    &mut rng,
+                ),
+                false,
+            ),
+            (
+                "dropout before the first dense",
+                build(&[(0, Some(0.3)), (6, None)], &mut rng),
+                false,
+            ),
+        ];
+        let tanh_head = Mlp::builder(3)
+            .dense(11, Activation::Tanh)
+            .dropout(0.1)
+            .dense(1, Activation::Sigmoid)
+            .build(&mut rng);
+        let tanh_head = trained(tanh_head, &mut rng);
+        let mut rows: Vec<Vec<f64>> = (0..13).map(|_| rng.gaussian_vec(3)).collect();
+        rows[2] = vec![f64::NAN, 0.5, -0.5];
+        rows[5] = vec![f64::INFINITY, 1.0, 0.0];
+        rows[9] = vec![0.25, f64::NEG_INFINITY, 2.0];
+        rows[11] = vec![0.0, 0.0, 0.0];
+        let inputs = [
+            Matrix::zeros(0, 3),
+            Matrix::from_rows(&rows[..1]),
+            Matrix::from_rows(&rows[..5]),
+            Matrix::from_rows(&rows),
+        ];
+        let mut cases = 0;
+        for (name, net, fused) in nets.iter().chain([&("tanh head", tanh_head, true)]) {
+            assert_eq!(dropout_head(net).is_some(), *fused, "{name}");
+            for x in &inputs {
+                for (seed, passes) in [(0u64, 1usize), (42, 7), (0x5C0BE, 16)] {
+                    for sigmoid in [false, true] {
+                        let transform = |v: f64| {
+                            if sigmoid {
+                                linalg::vector::sigmoid(v)
+                            } else {
+                                v
+                            }
+                        };
+                        let mut ref_rng = Prng::seed_from_u64(seed);
+                        let (mean, std) =
+                            mc_clone_per_pass(net, x, passes, 1e-9, &mut ref_rng, transform);
+                        let mut rng = Prng::seed_from_u64(seed);
+                        let stats = mc_predict_map(
+                            net,
+                            x,
+                            passes,
+                            1e-9,
+                            &mut rng,
+                            transform,
+                            &obs::Obs::disabled(),
+                        );
+                        let at = format!("{name}, {} rows, seed {seed}", x.rows());
+                        assert_eq!(bits(&stats.mean), bits(&mean), "mean: {at}");
+                        assert_eq!(bits(&stats.std), bits(&std), "std: {at}");
+                        // The caller-visible RNG advanced identically.
+                        assert_eq!(ref_rng.uniform(), rng.uniform(), "rng: {at}");
+                        cases += 1;
+                    }
                 }
             }
-            for m in &mut mean {
-                *m /= 16.0;
-            }
-
-            let mut rng = Prng::seed_from_u64(seed);
-            let stats = mc_predict(&net, &x, 16, 0.0, &mut rng, &obs::Obs::disabled());
-            assert_eq!(stats.mean, mean, "seed {seed}");
-            // The caller-visible RNG advanced identically on both paths.
-            assert_eq!(ref_rng.uniform(), rng.uniform(), "seed {seed}");
         }
+        assert_eq!(cases, 9 * 4 * 3 * 2);
     }
 
     #[test]

@@ -28,6 +28,22 @@ impl ToJson for Layer {
     }
 }
 
+impl Layer {
+    fn output(&self) -> &Matrix {
+        match self {
+            Layer::Dense(d) => d.output(),
+            Layer::Dropout(d) => d.output(),
+        }
+    }
+
+    fn input_grad(&self) -> &Matrix {
+        match self {
+            Layer::Dense(d) => d.input_grad(),
+            Layer::Dropout(d) => d.input_grad(),
+        }
+    }
+}
+
 impl FromJson for Layer {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.as_obj()? {
@@ -107,7 +123,7 @@ pub struct Mlp {
     layers: Vec<Layer>,
 }
 
-tinyjson::json_struct!(Mlp { input_dim, layers });
+tinyjson::json_struct!(Mlp { input_dim, layers } check Mlp::check_shapes);
 
 /// Builder for [`Mlp`].
 pub struct MlpBuilder {
@@ -206,11 +222,13 @@ impl Mlp {
             .sum()
     }
 
-    /// Forward pass on a batch (rows are samples).
+    /// Forward pass on a batch (rows are samples). Returns the output
+    /// batch, which lives in the last layer's reusable buffer.
     ///
     /// In [`Mode::Train`] every layer caches what backprop needs; in the
-    /// other modes no caches are written.
-    pub fn forward(&mut self, x: &Matrix, mode: Mode, rng: &mut Prng) -> Matrix {
+    /// other modes no caches are kept.
+    #[allow(clippy::expect_used)] // shape invariants upheld by construction
+    pub fn forward(&mut self, x: &Matrix, mode: Mode, rng: &mut Prng) -> &Matrix {
         assert_eq!(
             x.cols(),
             self.input_dim,
@@ -218,14 +236,22 @@ impl Mlp {
             self.input_dim,
             x.cols()
         );
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = match layer {
-                Layer::Dense(d) => d.forward(&h, mode == Mode::Train),
-                Layer::Dropout(d) => d.forward(&h, mode, rng),
-            };
+        for i in 0..self.layers.len() {
+            let (done, rest) = self.layers.split_at_mut(i);
+            let input = done.last().map_or(x, Layer::output);
+            match &mut rest[0] {
+                Layer::Dense(d) => {
+                    d.forward(input, mode == Mode::Train);
+                }
+                Layer::Dropout(d) => {
+                    d.forward(input, mode, rng);
+                }
+            }
         }
-        h
+        self.layers
+            .last()
+            .map(Layer::output)
+            .expect("built Mlp always has a dense layer")
     }
 
     /// Immutable inference pass on a batch, writing every intermediate
@@ -414,15 +440,42 @@ impl Mlp {
 
     /// Backward pass through the whole stack. `grad_out` is `dL/d(output)`
     /// for the latest [`Mode::Train`] forward batch. Returns `dL/d(input)`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = match layer {
-                Layer::Dense(d) => d.backward(&g),
-                Layer::Dropout(d) => d.backward(&g),
-            };
+    pub fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
+        self.backprop(grad_out, true);
+        self.layers[0].input_grad()
+    }
+
+    /// [`Mlp::backward`] for a network whose input gradient nothing
+    /// reads — the network [`crate::train`] fits, a shared trunk, SNet's
+    /// factor nets. Only the parameter gradients are accumulated: the
+    /// first dense layer skips its `dL/dx`, and the dropout layers before
+    /// it do not run.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        self.backprop(grad_out, false);
+    }
+
+    #[allow(clippy::expect_used)] // shape invariants upheld by construction
+    fn backprop(&mut self, grad_out: &Matrix, input_grad: bool) {
+        let first = if input_grad {
+            0
+        } else {
+            self.layers
+                .iter()
+                .position(|l| matches!(l, Layer::Dense(_)))
+                .expect("built Mlp always has a dense layer")
+        };
+        for i in (first..self.layers.len()).rev() {
+            let (layer, after) = self.layers[i..]
+                .split_first_mut()
+                .expect("i is a layer index");
+            let g = after.first().map_or(grad_out, Layer::input_grad);
+            match layer {
+                Layer::Dense(d) => d.backward(g, input_grad || i > first),
+                Layer::Dropout(d) => {
+                    d.backward(g);
+                }
+            }
         }
-        g
     }
 
     /// Clears accumulated gradients in every dense layer.
@@ -441,6 +494,33 @@ impl Mlp {
             if let Layer::Dense(d) = layer {
                 d.visit_params(&mut f);
             }
+        }
+    }
+
+    /// The shape invariants every inference and training path indexes
+    /// by: at least one dense layer, and each dense layer's fan-in equal
+    /// to the width that reaches it (`input_dim` for the first). Checked
+    /// when a network is decoded; [`MlpBuilder::build`] holds them by
+    /// construction.
+    fn check_shapes(&self) -> Result<(), String> {
+        let mut width = self.input_dim;
+        let mut has_dense = false;
+        for (i, layer) in self.layers.iter().enumerate() {
+            if let Layer::Dense(d) = layer {
+                if d.fan_in() != width {
+                    return Err(format!(
+                        "layer {i} takes {} inputs but receives {width}",
+                        d.fan_in()
+                    ));
+                }
+                width = d.fan_out();
+                has_dense = true;
+            }
+        }
+        if has_dense {
+            Ok(())
+        } else {
+            Err("an Mlp needs at least one dense layer".to_string())
         }
     }
 
@@ -501,7 +581,7 @@ mod tests {
         let mut ws = Workspace::new();
         for mode in [Mode::Eval, Mode::McDropout] {
             let mut fwd_rng = Prng::seed_from_u64(123);
-            let want = m.forward(&x, mode, &mut fwd_rng);
+            let want = m.forward(&x, mode, &mut fwd_rng).clone();
             let mut inf_rng = Prng::seed_from_u64(123);
             let got = m.infer(&x, mode, &mut inf_rng, &mut ws);
             assert_eq!(*got, want, "{mode:?}");
@@ -590,8 +670,8 @@ mod tests {
         let mut m = tiny(2);
         let mut rng = Prng::seed_from_u64(99);
         let x = Matrix::full(8, 2, 1.0);
-        let a = m.forward(&x, Mode::Train, &mut rng);
-        let b = m.forward(&x, Mode::Train, &mut rng);
+        let a = m.forward(&x, Mode::Train, &mut rng).clone();
+        let b = m.forward(&x, Mode::Train, &mut rng).clone();
         assert_ne!(a, b);
     }
 
@@ -608,7 +688,7 @@ mod tests {
         let mut r = Prng::seed_from_u64(0);
         m.zero_grad();
         let _ = m.forward(&x, Mode::Train, &mut r);
-        let grad_x = m.backward(&Matrix::full(2, 1, 1.0));
+        let grad_x = m.backward(&Matrix::full(2, 1, 1.0)).clone();
 
         let eps = 1e-6;
         let mut xp = x.clone();
@@ -632,6 +712,48 @@ mod tests {
         let mut rng = Prng::seed_from_u64(0);
         let x = Matrix::zeros(1, 5);
         let _ = m.forward(&x, Mode::Eval, &mut rng);
+    }
+
+    #[test]
+    fn decode_checks_the_layer_shapes() {
+        let mut rng = Prng::seed_from_u64(8);
+        let good = Mlp::builder(3)
+            .dense(4, Activation::Elu)
+            .dropout(0.1)
+            .dense(1, Activation::Identity)
+            .build(&mut rng);
+        let json = good.to_json();
+        assert!(Mlp::from_json(&json).is_ok());
+        let edit = |key: &str, value: Value| {
+            let Value::Obj(mut fields) = json.clone() else {
+                panic!("an Mlp serializes to an object")
+            };
+            for (k, v) in &mut fields {
+                if k == key {
+                    *v = value.clone();
+                }
+            }
+            Mlp::from_json(&Value::Obj(fields)).unwrap_err().to_string()
+        };
+        let wrong_input = edit("input_dim", 5usize.to_json());
+        assert!(
+            wrong_input.contains("layer 0 takes 3 inputs but receives 5"),
+            "{wrong_input}"
+        );
+        let layers = json.fetch("layers").as_arr().unwrap();
+        let skips_a_layer = edit(
+            "layers",
+            Value::Arr(vec![layers[0].clone(), layers[0].clone()]),
+        );
+        assert!(
+            skips_a_layer.contains("layer 1 takes 3 inputs but receives 4"),
+            "{skips_a_layer}"
+        );
+        let dropout_only = edit("layers", Value::Arr(vec![layers[1].clone()]));
+        assert!(
+            dropout_only.contains("at least one dense layer"),
+            "{dropout_only}"
+        );
     }
 
     #[test]

@@ -44,13 +44,16 @@ pub fn clipped_step(
         }
     }
     let mut id = 0usize;
+    // One buffer for every tensor's adjusted gradient.
+    let mut adjusted = Vec::new();
     model.visit_param_tensors(&mut |p, g| {
         if clip_scale != 1.0 || weight_decay > 0.0 {
-            let adjusted: Vec<f64> = p
-                .iter()
-                .zip(g)
-                .map(|(&pi, &gi)| gi * clip_scale + weight_decay * pi)
-                .collect();
+            adjusted.clear();
+            adjusted.extend(
+                p.iter()
+                    .zip(g)
+                    .map(|(&pi, &gi)| gi * clip_scale + weight_decay * pi),
+            );
             opt.update(id, p, &adjusted);
         } else {
             opt.update(id, p, g);
@@ -67,7 +70,7 @@ pub struct MultiHeadNet {
     heads: Vec<Mlp>,
 }
 
-tinyjson::json_struct!(MultiHeadNet { trunk, heads });
+tinyjson::json_struct!(MultiHeadNet { trunk, heads } check MultiHeadNet::check_heads);
 
 impl MultiHeadNet {
     /// Assembles a multi-head network.
@@ -76,17 +79,27 @@ impl MultiHeadNet {
     /// Panics if any head's input dimension differs from the trunk's
     /// output dimension, or there are no heads.
     pub fn new(trunk: Mlp, heads: Vec<Mlp>) -> Self {
-        assert!(!heads.is_empty(), "MultiHeadNet needs at least one head");
-        for (i, h) in heads.iter().enumerate() {
-            assert_eq!(
-                h.input_dim(),
-                trunk.output_dim(),
-                "head {i} expects {} inputs but trunk emits {}",
-                h.input_dim(),
-                trunk.output_dim()
-            );
+        let net = MultiHeadNet { trunk, heads };
+        if let Err(e) = net.check_heads() {
+            panic!("{e}");
         }
-        MultiHeadNet { trunk, heads }
+        net
+    }
+
+    /// What [`MultiHeadNet::new`] asserts and decoding checks: at least
+    /// one head, each taking the trunk's output width.
+    fn check_heads(&self) -> Result<(), String> {
+        if self.heads.is_empty() {
+            return Err("MultiHeadNet needs at least one head".to_string());
+        }
+        let width = self.trunk.output_dim();
+        match self.heads.iter().position(|h| h.input_dim() != width) {
+            Some(i) => Err(format!(
+                "head {i} expects {} inputs but trunk emits {width}",
+                self.heads[i].input_dim()
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Number of heads.
@@ -110,11 +123,11 @@ impl MultiHeadNet {
     }
 
     /// Forward pass: returns each head's output batch.
-    pub fn forward(&mut self, x: &Matrix, mode: Mode, rng: &mut Prng) -> Vec<Matrix> {
+    pub fn forward(&mut self, x: &Matrix, mode: Mode, rng: &mut Prng) -> Vec<&Matrix> {
         let rep = self.trunk.forward(x, mode, rng);
         self.heads
             .iter_mut()
-            .map(|h| h.forward(&rep, mode, rng))
+            .map(|h| h.forward(rep, mode, rng))
             .collect()
     }
 
@@ -170,12 +183,12 @@ impl MultiHeadNet {
         for (head, g) in self.heads.iter_mut().zip(head_grads) {
             let gi = head.backward(g);
             trunk_grad = Some(match trunk_grad {
-                None => gi,
-                Some(acc) => acc.add(&gi).expect("heads share the trunk output shape"),
+                None => gi.clone(),
+                Some(acc) => acc.add(gi).expect("heads share the trunk output shape"),
             });
         }
         self.trunk
-            .backward(&trunk_grad.expect("at least one head by construction"));
+            .backward_params(&trunk_grad.expect("at least one head by construction"));
     }
 
     /// Clears accumulated gradients everywhere.
@@ -201,6 +214,7 @@ mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::optimizer::Adam;
+    use tinyjson::{FromJson, ToJson, Value};
 
     fn two_head(seed: u64) -> MultiHeadNet {
         let mut rng = Prng::seed_from_u64(seed);
@@ -223,6 +237,36 @@ mod tests {
         let outs = net.predict_scalars(&x);
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].len(), 2);
+    }
+
+    #[test]
+    fn decode_repeats_the_checks_new_asserts() {
+        let json = two_head(6).to_json();
+        assert!(MultiHeadNet::from_json(&json).is_ok());
+        let with_heads = |heads: Vec<Value>| {
+            let Value::Obj(mut fields) = json.clone() else {
+                panic!("a MultiHeadNet serializes to an object")
+            };
+            for (k, v) in &mut fields {
+                if k == "heads" {
+                    *v = Value::Arr(heads.clone());
+                }
+            }
+            MultiHeadNet::from_json(&Value::Obj(fields))
+                .unwrap_err()
+                .to_string()
+        };
+        let none = with_heads(vec![]);
+        assert!(none.contains("at least one head"), "{none}");
+        let mut rng = Prng::seed_from_u64(7);
+        let narrow = Mlp::builder(5)
+            .dense(1, Activation::Identity)
+            .build(&mut rng);
+        let mismatched = with_heads(vec![narrow.to_json()]);
+        assert!(
+            mismatched.contains("head 0 expects 5 inputs but trunk emits 6"),
+            "{mismatched}"
+        );
     }
 
     #[test]

@@ -196,6 +196,8 @@ pub fn train(
     let mut checkpoint = net.clone();
     let mut best_checkpoint_loss = f64::INFINITY;
     let mut attempts = 0usize;
+    // The minibatch's rows, rebuilt in place every step.
+    let mut xb = Matrix::default();
 
     let mut epoch = 0usize;
     while epoch < config.epochs {
@@ -206,19 +208,18 @@ pub fn train(
         let mut batches = 0usize;
         let mut tripped: Option<DivergenceCause> = None;
         for chunk in order.chunks(batch) {
-            let xb = x.select_rows(chunk);
+            x.select_rows_into(chunk, &mut xb);
             net.zero_grad();
-            let out = net.forward(&xb, Mode::Train, rng);
-            let preds = out.col(0);
-            let (loss, grad) = objective.loss_and_grad(&preds, chunk);
+            // The output is one column, so its storage is the predictions.
+            let preds = net.forward(&xb, Mode::Train, rng).as_slice();
+            let (loss, grad) = objective.loss_and_grad(preds, chunk);
             if !loss.is_finite() {
                 tripped = Some(DivergenceCause::NonFiniteLoss { loss });
                 break;
             }
             epoch_loss += loss;
             batches += 1;
-            let grad_mat = Matrix::column(&grad);
-            net.backward(&grad_mat);
+            net.backward_params(&Matrix::from_vec(grad.len(), 1, grad));
             if let Some(cause) = gradient_sentinel(net, config.grad_norm_limit) {
                 tripped = Some(cause);
                 break;
@@ -613,5 +614,223 @@ mod tests {
             matches!(err, TrainError::Diverged { attempts: 0, .. }),
             "{err:?}"
         );
+    }
+
+    /// The training step as plain `Matrix` products: every layer keeps
+    /// fresh copies of its input and pre-activation, takes `f'` from a
+    /// second pass over `z`, and builds `xᵀ` and `Wᵀ` for the textbook
+    /// products — the step the reusable-buffer layers must match bit for
+    /// bit.
+    enum RefLayer {
+        Dense {
+            w: Matrix,
+            b: Vec<f64>,
+            act: Activation,
+            gw: Matrix,
+            gb: Vec<f64>,
+            x: Matrix,
+            z: Matrix,
+        },
+        Dropout {
+            p: f64,
+            mask: Matrix,
+        },
+    }
+
+    fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.shape(), b.shape());
+        let data = a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| x * y);
+        Matrix::from_vec(a.rows(), a.cols(), data.collect())
+    }
+
+    fn reference_layers(net: &Mlp) -> Vec<RefLayer> {
+        use crate::mlp::Layer;
+        net.layers()
+            .iter()
+            .map(|l| match l {
+                Layer::Dense(d) => RefLayer::Dense {
+                    w: d.weights().clone(),
+                    b: d.biases().to_vec(),
+                    act: d.activation(),
+                    gw: Matrix::zeros(d.fan_in(), d.fan_out()),
+                    gb: vec![0.0; d.fan_out()],
+                    x: Matrix::zeros(0, 0),
+                    z: Matrix::zeros(0, 0),
+                },
+                Layer::Dropout(d) => RefLayer::Dropout {
+                    p: d.p(),
+                    mask: Matrix::zeros(0, 0),
+                },
+            })
+            .collect()
+    }
+
+    fn reference_forward(layers: &mut [RefLayer], x: &Matrix, rng: &mut Prng) -> Matrix {
+        let mut h = x.clone();
+        for layer in layers {
+            h = match layer {
+                RefLayer::Dense {
+                    w, b, act, x, z, ..
+                } => {
+                    let mut pre = h.matmul(w).unwrap();
+                    pre.add_row_vector_mut(b).unwrap();
+                    *x = h;
+                    *z = pre.clone();
+                    pre.map_mut(|v| act.apply(v));
+                    pre
+                }
+                RefLayer::Dropout { p, mask } => {
+                    let keep = 1.0 - *p;
+                    let scale = 1.0 / keep;
+                    let draws =
+                        (0..h.rows() * h.cols())
+                            .map(|_| if rng.bernoulli(keep) { scale } else { 0.0 });
+                    *mask = Matrix::from_vec(h.rows(), h.cols(), draws.collect());
+                    hadamard(&h, mask)
+                }
+            };
+        }
+        h
+    }
+
+    fn reference_backward(layers: &mut [RefLayer], grad_out: &Matrix) {
+        let mut g = grad_out.clone();
+        for layer in layers.iter_mut().rev() {
+            g = match layer {
+                RefLayer::Dense {
+                    w,
+                    act,
+                    gw,
+                    gb,
+                    x,
+                    z,
+                    ..
+                } => {
+                    let mut fprime = z.clone();
+                    fprime.map_mut(|v| act.derivative(v));
+                    let delta = hadamard(&g, &fprime);
+                    *gw = gw.add(&x.transpose().matmul(&delta).unwrap()).unwrap();
+                    for (acc, v) in gb.iter_mut().zip(delta.col_sums()) {
+                        *acc += v;
+                    }
+                    delta.matmul(&w.transpose()).unwrap()
+                }
+                RefLayer::Dropout { mask, .. } => hadamard(&g, mask),
+            };
+        }
+    }
+
+    /// Adam step with global-norm clipping and weight decay, building a
+    /// fresh adjusted-gradient vector per tensor. Returns whether the
+    /// clip fired.
+    fn reference_step(layers: &mut [RefLayer], opt: &mut Adam, clip: f64, decay: f64) -> bool {
+        let mut sq = 0.0;
+        for layer in layers.iter() {
+            if let RefLayer::Dense { gw, gb, .. } = layer {
+                sq += gw.as_slice().iter().map(|v| v * v).sum::<f64>();
+                sq += gb.iter().map(|v| v * v).sum::<f64>();
+            }
+        }
+        let norm = sq.sqrt();
+        let scale = if norm > clip { clip / norm } else { 1.0 };
+        let mut id = 0;
+        for layer in layers.iter_mut() {
+            if let RefLayer::Dense { w, b, gw, gb, .. } = layer {
+                for (p, g) in [
+                    (w.as_mut_slice(), gw.as_slice()),
+                    (b.as_mut_slice(), &gb[..]),
+                ] {
+                    let adjusted: Vec<f64> = p
+                        .iter()
+                        .zip(g)
+                        .map(|(&pi, &gi)| gi * scale + decay * pi)
+                        .collect();
+                    opt.update(id, p, &adjusted);
+                    id += 1;
+                }
+            }
+        }
+        opt.end_step();
+        scale != 1.0
+    }
+
+    /// `train`'s weights and losses against the reference step, bit for
+    /// bit, on what the golden fixtures (DRP: ELU, one dropout, no
+    /// clipping in practice, weight decay 1e-5, full batches) leave out:
+    /// tanh, two dropout layers, a hidden layer whose input gradient is
+    /// needed, clipping that fires, weight decay 0 and a final partial
+    /// batch.
+    #[test]
+    fn train_matches_the_plain_matrix_reference_step_bitwise() {
+        let (x, y) = linear_problem(50, 14);
+        let obj = MseObjective::new(y);
+        let cfg = TrainConfig {
+            epochs: 6,
+            batch_size: 16, // 16 + 16 + 16 + 2
+            lr: 0.05,
+            grad_clip: 0.05,
+            weight_decay: 0.0,
+            ..TrainConfig::default()
+        };
+        let mut init_rng = Prng::seed_from_u64(15);
+        let mut net = Mlp::builder(2)
+            .dense(8, Activation::Tanh)
+            .dropout(0.2)
+            .dense(5, Activation::Tanh)
+            .dropout(0.3)
+            .dense(1, Activation::Identity)
+            .build(&mut init_rng);
+        let mut layers = reference_layers(&net);
+
+        let mut train_rng = Prng::seed_from_u64(16);
+        let report = train(&mut net, &x, &obj, &cfg, &mut train_rng, &Obs::disabled()).unwrap();
+        assert!(!report.recovered());
+
+        let mut rng = Prng::seed_from_u64(16);
+        let mut opt = Adam::new(cfg.lr);
+        let mut order: Vec<usize> = (0..x.rows()).collect();
+        let mut clipped = 0;
+        let mut losses = Vec::new();
+        for _ in 0..cfg.epochs {
+            rng.shuffle(&mut order);
+            let mut epoch_loss = 0.0;
+            let mut batches = 0;
+            for chunk in order.chunks(cfg.batch_size) {
+                for layer in layers.iter_mut() {
+                    if let RefLayer::Dense { gw, gb, .. } = layer {
+                        *gw = Matrix::zeros(gw.rows(), gw.cols());
+                        gb.iter_mut().for_each(|v| *v = 0.0);
+                    }
+                }
+                let out = reference_forward(&mut layers, &x.select_rows(chunk), &mut rng);
+                let (loss, grad) = obj.loss_and_grad(&out.col(0), chunk);
+                epoch_loss += loss;
+                batches += 1;
+                reference_backward(&mut layers, &Matrix::column(&grad));
+                if reference_step(&mut layers, &mut opt, cfg.grad_clip, cfg.weight_decay) {
+                    clipped += 1;
+                }
+            }
+            losses.push(epoch_loss / batches as f64);
+        }
+        assert!(clipped > 0, "the clip never fired");
+
+        let mut got = Vec::new();
+        net.visit_params(|p, _| got.extend(p.iter().map(|v| v.to_bits())));
+        let mut want = Vec::new();
+        for layer in &layers {
+            if let RefLayer::Dense { w, b, .. } = layer {
+                want.extend(w.as_slice().iter().chain(b).map(|v| v.to_bits()));
+            }
+        }
+        assert_eq!(got, want, "weights");
+        let loss_bits = |l: &[f64]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            loss_bits(&report.epoch_losses),
+            loss_bits(&losses),
+            "losses"
+        );
+        // Both runs drew the same number of values.
+        assert_eq!(train_rng.uniform(), rng.uniform());
     }
 }

@@ -638,9 +638,18 @@ impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
 
 /// Implements [`ToJson`]/[`FromJson`] for a struct by listing its fields.
 /// Missing keys decode as `null`, so `Option` fields tolerate absence.
+///
+/// `json_struct!(Name { a, b } check f)` also runs `f`, a
+/// `fn(&Name) -> Result<(), String>` (a path or a non-capturing closure),
+/// on every decoded value and fails the decode with its message: the
+/// place for invariants between fields that the rest of the program
+/// indexes by.
 #[macro_export]
 macro_rules! json_struct {
     ($name:ident { $($field:ident),+ $(,)? }) => {
+        $crate::json_struct!($name { $($field),+ } check |_: &$name| Ok(()));
+    };
+    ($name:ident { $($field:ident),+ $(,)? } check $check:expr) => {
         impl $crate::ToJson for $name {
             fn to_json(&self) -> $crate::Value {
                 $crate::Value::Obj(vec![
@@ -651,12 +660,17 @@ macro_rules! json_struct {
         impl $crate::FromJson for $name {
             fn from_json(v: &$crate::Value) -> ::std::result::Result<Self, $crate::JsonError> {
                 v.as_obj()?;
-                Ok($name {
+                let value = $name {
                     $($field: $crate::FromJson::from_json(v.fetch(stringify!($field)))
                         .map_err(|e| $crate::JsonError::msg(format!(
                             "{}.{}: {e}", stringify!($name), stringify!($field)
                         )))?,)+
-                })
+                };
+                let check: fn(&$name) -> ::std::result::Result<(), String> = $check;
+                check(&value).map_err(|e| $crate::JsonError::msg(format!(
+                    "{}: {e}", stringify!($name)
+                )))?;
+                Ok(value)
             }
         }
     };

@@ -344,7 +344,9 @@ mod tests {
     /// Casts a matrix through f32 and back — the rows both traversal
     /// paths must agree on bitwise.
     fn f32_rounded(x: &Matrix) -> Matrix {
-        x.map(|v| v as f32 as f64)
+        let mut out = x.clone();
+        out.map_mut(|v| v as f32 as f64);
+        out
     }
 
     fn dataset(n: usize, d: usize, seed: u64) -> (Matrix, Vec<f64>) {

@@ -18,7 +18,7 @@
 //! in DESIGN.md (substitution 6).
 
 use crate::error::{check_both_groups, check_xty, FitError};
-use crate::nnutil::{standardize, NetConfig};
+use crate::nnutil::{check_scaled_scalar_net, standardize, NetConfig};
 use datasets::RctDataset;
 use linalg::random::Prng;
 use linalg::stats::Standardizer;
@@ -113,7 +113,9 @@ struct Fitted {
     net: Mlp,
 }
 
-tinyjson::json_struct!(Fitted { scaler, net });
+tinyjson::json_struct!(Fitted { scaler, net } check |f: &Fitted| {
+    check_scaled_scalar_net(&f.scaler, &f.net)
+});
 
 impl DirectRank {
     /// Creates an unfitted Direct Rank model.

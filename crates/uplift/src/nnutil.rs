@@ -5,6 +5,27 @@ use linalg::stats::Standardizer;
 use linalg::Matrix;
 use nn::{Activation, Mlp};
 
+/// Decode check for a fitted scalar scorer (DRP, Direct Rank): the scaler
+/// standardizes exactly the features the network consumes, and the
+/// network emits one score per row. Scoring and the MC-dropout sweep
+/// index by both.
+pub fn check_scaled_scalar_net(scaler: &Standardizer, net: &Mlp) -> Result<(), String> {
+    if scaler.means().len() != net.input_dim() {
+        return Err(format!(
+            "scaler standardizes {} features but the network takes {}",
+            scaler.means().len(),
+            net.input_dim()
+        ));
+    }
+    if net.output_dim() != 1 {
+        return Err(format!(
+            "network emits {} outputs per row, expected 1",
+            net.output_dim()
+        ));
+    }
+    Ok(())
+}
+
 /// Hyperparameters shared by the representation-learning uplift models.
 #[derive(Debug, Clone)]
 pub struct NetConfig {

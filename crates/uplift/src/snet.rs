@@ -150,8 +150,8 @@ impl UpliftModel for SNet {
                 let rep_s = nets.phi_shared.forward(&xb, Mode::Train, rng);
                 let rep_c = nets.phi_control.forward(&xb, Mode::Train, rng);
                 let rep_t = nets.phi_treated.forward(&xb, Mode::Train, rng);
-                let in0 = rep_s.hstack(&rep_c).expect("same batch");
-                let in1 = rep_s.hstack(&rep_t).expect("same batch");
+                let in0 = rep_s.hstack(rep_c).expect("same batch");
+                let in1 = rep_s.hstack(rep_t).expect("same batch");
                 let out0 = nets.h0.forward(&in0, Mode::Train, rng).col(0);
                 let out1 = nets.h1.forward(&in1, Mode::Train, rng).col(0);
 
@@ -159,12 +159,12 @@ impl UpliftModel for SNet {
                 let (g1, _) = masked_mse_grad(&out1, &batch, t, y, 1);
                 let gin0 = nets.h0.backward(&Matrix::column(&g0));
                 let gin1 = nets.h1.backward(&Matrix::column(&g1));
-                let (gs0, gc) = split_concat_grad(&gin0, shared_dim);
-                let (gs1, gt) = split_concat_grad(&gin1, shared_dim);
+                let (gs0, gc) = split_concat_grad(gin0, shared_dim);
+                let (gs1, gt) = split_concat_grad(gin1, shared_dim);
                 let gs = gs0.add(&gs1).expect("same shape");
-                nets.phi_shared.backward(&gs);
-                nets.phi_control.backward(&gc);
-                nets.phi_treated.backward(&gt);
+                nets.phi_shared.backward_params(&gs);
+                nets.phi_control.backward_params(&gc);
+                nets.phi_treated.backward_params(&gt);
                 clipped_step(
                     &mut nets,
                     &mut opt,

@@ -6,7 +6,7 @@
 //! model that produced it would silently corrupt experiments.
 
 use datasets::{CriteoLike, ExperimentData, Setting, SettingSizes};
-use integration::unique_tmp;
+use integration::{malformed_drp_artifacts, unique_tmp};
 use linalg::random::Prng;
 use rdrp::{DrpConfig, MethodConfig, RdrpConfig};
 use uplift::NetConfig;
@@ -252,4 +252,33 @@ fn loading_a_tampered_tag_is_a_typed_error_naming_known_methods() {
         msg.contains("causal-transformer") && msg.contains("rdrp"),
         "error should name the bad tag and the known methods: {msg}"
     );
+}
+
+/// Shape faults a checksum cannot catch — the artifact was written that
+/// way — fail the load with a typed error instead of loading and then
+/// panicking, or scoring garbage, at the first request.
+#[test]
+fn malformed_network_shapes_fail_the_load_typed() {
+    let data = tiny_data(9006);
+    let obs = obs::Obs::disabled();
+    let mut method = rdrp::build("drp", &cheap_config()).unwrap();
+    let mut rng = Prng::seed_from_u64(31);
+    method
+        .fit(&data.train, &data.calibration, &mut rng, &obs)
+        .unwrap();
+    let path = unique_tmp("malformed_drp.json");
+    rdrp::save_method(method.as_ref(), &path).unwrap();
+    let saved = std::fs::read_to_string(&path).unwrap();
+    for (fault, text) in malformed_drp_artifacts(&saved) {
+        std::fs::write(&path, text).unwrap();
+        let err = rdrp::load_method(&path).expect_err(fault);
+        assert!(
+            matches!(err, rdrp::PersistError::Serde(_)),
+            "{fault}: expected a decode error, got {err:?}"
+        );
+    }
+    // The untouched artifact still loads.
+    std::fs::write(&path, &saved).unwrap();
+    rdrp::load_method(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
 }

@@ -3,7 +3,7 @@
 //! training/calibration, and `0` (with a stderr warning) for a run whose
 //! calibration *degraded* but still produced a usable model.
 
-use integration::unique_tmp;
+use integration::{malformed_drp_artifacts, unique_tmp};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -177,6 +177,42 @@ fn degraded_calibration_warns_but_exits_0() {
         text(&out.stderr)
     );
     for f in [train_csv, cal_csv, model_json, trace_json] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
+fn malformed_artifact_exits_3_instead_of_panicking() {
+    let csv = unique_tmp("malformed_train.csv").display().to_string();
+    let model = unique_tmp("malformed_model.json").display().to_string();
+    let scores = unique_tmp("malformed_scores.csv").display().to_string();
+    write_trainable_csv(&csv, 400, false);
+    let out = run_cli(&[
+        "train",
+        "--train",
+        &csv,
+        "--calibration",
+        &csv,
+        "--model",
+        &model,
+        "--method",
+        "drp",
+        "--epochs",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", text(&out.stderr));
+    let saved = std::fs::read_to_string(&model).expect("trained model");
+    for (fault, artifact) in malformed_drp_artifacts(&saved) {
+        std::fs::write(&model, artifact).expect("write artifact");
+        let out = run_cli(&["score", "--model", &model, "--data", &csv, "--out", &scores]);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "{fault}: stderr: {}",
+            text(&out.stderr)
+        );
+    }
+    for f in [csv, model, scores] {
         let _ = std::fs::remove_file(f);
     }
 }

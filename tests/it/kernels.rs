@@ -41,7 +41,9 @@ use uplift::NetConfig;
 /// Casts a matrix through f32 and back: inputs both paths see bitwise
 /// identically, making the tree families' bitwise gate well-defined.
 fn f32_rounded(x: &Matrix) -> Matrix {
-    x.map(|v| v as f32 as f64)
+    let mut out = x.clone();
+    out.map_mut(|v| v as f32 as f64);
+    out
 }
 
 /// Small nets and ensembles: the suite pins parity, not model quality.

@@ -55,6 +55,74 @@ pub fn unique_tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rdrp_it_{}_{n}_{name}", std::process::id()))
 }
 
+/// `drp` artifacts, derived from the saved artifact `saved`, whose shapes
+/// are wrong in ways that parse as JSON but used to load and then panic
+/// or mis-score at scoring time: the first dense layer's bias one value
+/// short; the last dense layer's weights declared `2^63 × 2` with no data
+/// (the element count wraps to 0 unchecked); a layer list holding one
+/// dropout layer and no dense layer; and a scaler one feature narrower
+/// than the network. Each is re-stamped with a valid checksum, so only
+/// the shape is wrong.
+pub fn malformed_drp_artifacts(saved: &str) -> Vec<(&'static str, String)> {
+    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            other => panic!("{key}: not an object: {other:?}"),
+        }
+    }
+    fn layers(body: &mut Value) -> &mut Vec<Value> {
+        match field(field(field(body, "state"), "net"), "layers") {
+            Value::Arr(layers) => layers,
+            other => panic!("layers: not an array: {other:?}"),
+        }
+    }
+    fn pop(v: &mut Value) {
+        match v {
+            Value::Arr(items) => {
+                items.pop();
+            }
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+    let envelope = tinyjson::parse(saved).expect("a saved artifact parses");
+    let edit = |change: &dyn Fn(&mut Vec<Value>)| {
+        let mut body = envelope.fetch("body").clone();
+        change(layers(&mut body));
+        rdrp::artifact::render("drp", body)
+    };
+    let mut narrow_scaler = envelope.fetch("body").clone();
+    let scaler = field(field(&mut narrow_scaler, "state"), "scaler");
+    pop(field(scaler, "means"));
+    pop(field(scaler, "stds"));
+    vec![
+        (
+            "first bias one short",
+            edit(&|layers| pop(field(field(&mut layers[0], "Dense"), "b"))),
+        ),
+        (
+            "last weights 2^63 x 2 with no data",
+            edit(&|layers| {
+                let last = layers.last_mut().expect("a dense layer");
+                *field(field(last, "Dense"), "w") = Value::Obj(vec![
+                    ("rows".to_string(), Value::Num(2f64.powi(63))),
+                    ("cols".to_string(), Value::Num(2.0)),
+                    ("data".to_string(), Value::Arr(vec![])),
+                ]);
+            }),
+        ),
+        (
+            "dropout only",
+            edit(&|layers| {
+                *layers = vec![Value::Obj(vec![("Dropout".to_string(), Value::Num(0.1))])];
+            }),
+        ),
+        (
+            "scaler one feature short",
+            rdrp::artifact::render("drp", narrow_scaler),
+        ),
+    ]
+}
+
 /// A trivially fast rowwise scorer — each row scores its own sum — so
 /// serving tests exercise the engine and the wire, not a neural net.
 #[derive(Debug)]
