@@ -2,9 +2,10 @@
 //!
 //! The paper's claim: DRP inference costs one Δ_infer; rDRP costs
 //! 10–100 × Δ_infer for the MC passes, but the passes parallelize, so the
-//! wall-clock gap is far below the work gap. The `mc_dropout/K` series
-//! demonstrates both: total work scales with K while wall-clock scales
-//! sub-linearly (rayon spreads passes across cores).
+//! wall-clock gap is far below the work gap. `nn::mc` runs the layers
+//! before DRP's dropout once per sweep, so the `mc_dropout/K` series
+//! costs one Δ_infer plus K passes of mask draws and one dot product per
+//! row, spread over cores by `par`'s scoped worker threads.
 
 use datasets::generator::{Population, RctGenerator};
 use datasets::CriteoLike;

@@ -14,7 +14,8 @@ use tinyjson::{FromJson, JsonError, ToJson, Value};
 /// gradients. Gradients are *accumulated* into `grad_w`/`grad_b` and
 /// cleared by [`Dense::zero_grad`], which lets multi-head networks sum
 /// gradient contributions from several heads before an optimizer step.
-/// The forward and backward buffers are reused from step to step.
+/// The forward and backward buffers are reused from step to step, and
+/// freed when [`crate::train`] returns.
 ///
 /// Inference never touches the caches: [`Dense::infer_into`] is `&self`
 /// and writes into a caller-provided buffer, so a trained layer can be
@@ -284,6 +285,12 @@ impl Dense {
                 }
             }
         }
+    }
+
+    /// Frees the training buffers; the next caching forward pass
+    /// allocates them again.
+    pub(crate) fn release_buffers(&mut self) {
+        self.train = Scratch::default();
     }
 
     /// `dL/dx` from the latest [`Dense::backward`] that computed it.

@@ -186,6 +186,11 @@ impl Dropout {
         &c.dx
     }
 
+    /// Frees the mask and the forward/backward buffers.
+    pub(crate) fn release_buffers(&mut self) {
+        self.train = Scratch::default();
+    }
+
     /// Output of the latest [`Dropout::forward`].
     pub(crate) fn output(&self) -> &Matrix {
         &self.train.out

@@ -181,6 +181,7 @@ pub fn train_arm_heads(
     if let Some(&final_loss) = epoch_losses.last() {
         obs.gauge("karm.final_loss", final_loss);
     }
+    net.release_training_buffers();
     Ok(epoch_losses)
 }
 

@@ -478,6 +478,17 @@ impl Mlp {
         }
     }
 
+    /// Frees every layer's training buffers, so a fitted network holds
+    /// only its parameters and gradients.
+    pub(crate) fn release_training_buffers(&mut self) {
+        for layer in &mut self.layers {
+            match layer {
+                Layer::Dense(d) => d.release_buffers(),
+                Layer::Dropout(d) => d.release_buffers(),
+            }
+        }
+    }
+
     /// Clears accumulated gradients in every dense layer.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {

@@ -191,6 +191,14 @@ impl MultiHeadNet {
             .backward_params(&trunk_grad.expect("at least one head by construction"));
     }
 
+    /// Frees the trunk's and every head's training buffers.
+    pub(crate) fn release_training_buffers(&mut self) {
+        self.trunk.release_training_buffers();
+        for h in &mut self.heads {
+            h.release_training_buffers();
+        }
+    }
+
     /// Clears accumulated gradients everywhere.
     pub fn zero_grad(&mut self) {
         self.trunk.zero_grad();

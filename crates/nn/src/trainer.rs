@@ -282,6 +282,7 @@ pub fn train(
     if let Some(final_loss) = report.final_loss() {
         obs.gauge("train.final_loss", final_loss);
     }
+    net.release_training_buffers();
     Ok(report)
 }
 
