@@ -35,7 +35,7 @@ fn feedback_stream(n: usize) -> Vec<f64> {
 
 /// One feedback observation against a full 256-score window.
 fn bench_online_observe(c: &mut Criterion) {
-    let mut online = OnlineConformal::new(OnlineConformalConfig::default()).unwrap();
+    let mut online = OnlineConformal::new(0.1, OnlineConformalConfig::default()).unwrap();
     let outcomes = feedback_stream(4096);
     for &s in &outcomes[..256] {
         online.push_score(s.abs());
@@ -109,6 +109,10 @@ impl RoiMethod for FlatScorer {
 
     fn qhat(&self) -> Option<f64> {
         Some(1.0)
+    }
+
+    fn alpha(&self) -> Option<f64> {
+        Some(0.1)
     }
 
     fn with_qhat(&self, _qhat: f64, _n_calibration: usize) -> Option<Box<dyn RoiMethod>> {

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run -p bench --release --bin fig5`.
 
-use bench::harness::{score_method, table_sizes, MethodKind, AUCC_BINS};
+use bench::harness::{label, score_method, table_sizes, AUCC_BINS, TABLE2};
 use bench::report::write_json;
 use datasets::{CriteoLike, ExperimentData, Setting};
 use linalg::random::Prng;
@@ -27,13 +27,13 @@ fn main() {
         let data = ExperimentData::build(&gen, setting, &sizes, &mut rng);
         let mut curves = Vec::new();
         println!("\nFig. 5 panel ({setting})");
-        for method in MethodKind::TABLE2 {
+        for method in TABLE2 {
             let mut mrng = rng.fork();
             let scores = score_method(method, &data, &mut mrng);
             let aucc = aucc_from_labels(&data.test, &scores, AUCC_BINS);
             let curve = cost_curve(&data.test, &scores, AUCC_BINS);
-            println!("  {:<16} AUCC {aucc:.4}", method.label());
-            curves.push((method.label().to_string(), aucc, curve));
+            println!("  {:<16} AUCC {aucc:.4}", label(method));
+            curves.push((label(method).to_string(), aucc, curve));
         }
         panels.push(Panel {
             setting: setting.label().to_string(),

@@ -4,12 +4,12 @@
 //! Run with `cargo run -p bench --release --bin table1 [--seeds N]`.
 //! Results are printed as markdown and persisted to `results/table1.json`.
 
-use bench::harness::{run_setting, seeds_from_args, table_sizes, MethodKind};
+use bench::harness::{run_setting, seeds_from_args, table_sizes, TABLE1};
 use bench::report::{print_markdown_table, write_json};
 use datasets::generator::RctGenerator;
 use datasets::{AlibabaLike, CriteoLike, MeituanLike, Setting};
 
-/// Paper Table I reference values, rows in `MethodKind::TABLE1` order,
+/// Paper Table I reference values, rows in `TABLE1` order,
 /// columns: (dataset, sufficient?, shifted?) as iterated below.
 // Literal AUCC values quoted from the paper; 0.6366 is not 2/pi.
 #[allow(clippy::approx_constant)]
@@ -83,7 +83,7 @@ fn main() {
     for (name, gen) in &generators {
         for setting in Setting::ALL {
             eprintln!("running {name} / {setting} ...");
-            let results = run_setting(gen.as_ref(), setting, &sizes, &MethodKind::TABLE1, &seeds);
+            let results = run_setting(gen.as_ref(), setting, &sizes, &TABLE1, &seeds);
             // Paper-vs-measured per method for this cell.
             println!("\n-- {name} / {setting} --");
             for (mi, r) in results.iter().enumerate() {

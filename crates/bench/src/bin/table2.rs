@@ -3,12 +3,12 @@
 //!
 //! Run with `cargo run -p bench --release --bin table2 [--seeds N]`.
 
-use bench::harness::{run_setting, seeds_from_args, table_sizes, MethodKind};
+use bench::harness::{run_setting, seeds_from_args, table_sizes, TABLE2};
 use bench::report::{print_markdown_table, write_json};
 use datasets::generator::RctGenerator;
 use datasets::{AlibabaLike, CriteoLike, MeituanLike, Setting};
 
-/// Paper Table II reference values, rows in `MethodKind::TABLE2` order
+/// Paper Table II reference values, rows in `TABLE2` order
 /// (DR, DR w/ MC, DRP, DRP w/ MC, DRP w/ MC w/ CP), columns iterated as
 /// below.
 const PAPER: [[f64; 5]; 12] = [
@@ -47,7 +47,7 @@ fn main() {
     for (name, gen) in &generators {
         for setting in Setting::ALL {
             eprintln!("running {name} / {setting} ...");
-            let results = run_setting(gen.as_ref(), setting, &sizes, &MethodKind::TABLE2, &seeds);
+            let results = run_setting(gen.as_ref(), setting, &sizes, &TABLE2, &seeds);
             println!("\n-- {name} / {setting} --");
             for (mi, r) in results.iter().enumerate() {
                 bench::report::print_paper_vs_measured(

@@ -9,111 +9,33 @@ use uplift::NetConfig;
 /// Percentile bins used for all reported AUCCs.
 pub const AUCC_BINS: usize = 20;
 
-/// Every method evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MethodKind {
-    /// TPM with S-learners.
-    TpmSl,
-    /// TPM with X-learners.
-    TpmXl,
-    /// TPM with causal forests.
-    TpmCf,
-    /// TPM with DragonNets.
-    TpmDragonNet,
-    /// TPM with TARNets.
-    TpmTarNet,
-    /// TPM with OffsetNets.
-    TpmOffsetNet,
-    /// TPM with SNets.
-    TpmSnet,
-    /// Direct Rank.
-    Dr,
-    /// Direct Rank + MC-dropout combination (Table II ablation).
-    DrWithMc,
-    /// Direct ROI Prediction.
-    Drp,
-    /// DRP + MC-dropout combination (Table II ablation).
-    DrpWithMc,
-    /// Robust DRP (= DRP w/ MC w/ CP).
-    Rdrp,
-}
+/// The ten Table-I methods, by registry name (`rdrp::methods::METHODS`,
+/// also the artifact tag), in the paper's row order.
+pub const TABLE1: [&str; 10] = [
+    "tpm-sl",
+    "tpm-xl",
+    "tpm-cf",
+    "tpm-dragonnet",
+    "tpm-tarnet",
+    "tpm-offsetnet",
+    "tpm-snet",
+    "dr",
+    "drp",
+    "rdrp",
+];
 
-tinyjson::json_unit_enum!(MethodKind {
-    TpmSl,
-    TpmXl,
-    TpmCf,
-    TpmDragonNet,
-    TpmTarNet,
-    TpmOffsetNet,
-    TpmSnet,
-    Dr,
-    DrWithMc,
-    Drp,
-    DrpWithMc,
-    Rdrp
-});
+/// The five Table-II ablation methods, by registry name, in the paper's
+/// row order.
+pub const TABLE2: [&str; 5] = ["dr", "dr-mc", "drp", "drp-mc", "rdrp"];
 
-impl MethodKind {
-    /// The ten Table-I methods, in the paper's row order.
-    pub const TABLE1: [MethodKind; 10] = [
-        MethodKind::TpmSl,
-        MethodKind::TpmXl,
-        MethodKind::TpmCf,
-        MethodKind::TpmDragonNet,
-        MethodKind::TpmTarNet,
-        MethodKind::TpmOffsetNet,
-        MethodKind::TpmSnet,
-        MethodKind::Dr,
-        MethodKind::Drp,
-        MethodKind::Rdrp,
-    ];
-
-    /// The five Table-II ablation methods, in the paper's row order.
-    pub const TABLE2: [MethodKind; 5] = [
-        MethodKind::Dr,
-        MethodKind::DrWithMc,
-        MethodKind::Drp,
-        MethodKind::DrpWithMc,
-        MethodKind::Rdrp,
-    ];
-
-    /// Paper-style row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            MethodKind::TpmSl => "TPM-SL",
-            MethodKind::TpmXl => "TPM-XL",
-            MethodKind::TpmCf => "TPM-CF",
-            MethodKind::TpmDragonNet => "TPM-DragonNet",
-            MethodKind::TpmTarNet => "TPM-TARNet",
-            MethodKind::TpmOffsetNet => "TPM-OffsetNet",
-            MethodKind::TpmSnet => "TPM-SNet",
-            MethodKind::Dr => "DR",
-            MethodKind::DrWithMc => "DR w/ MC",
-            MethodKind::Drp => "DRP",
-            MethodKind::DrpWithMc => "DRP w/ MC",
-            MethodKind::Rdrp => "rDRP",
-        }
-    }
-
-    /// The method's name in `rdrp::methods::METHODS` (also its artifact
-    /// tag) — the bridge between the harness's table rows and the shared
-    /// registry everything now trains through.
-    pub fn registry_name(self) -> &'static str {
-        match self {
-            MethodKind::TpmSl => "tpm-sl",
-            MethodKind::TpmXl => "tpm-xl",
-            MethodKind::TpmCf => "tpm-cf",
-            MethodKind::TpmDragonNet => "tpm-dragonnet",
-            MethodKind::TpmTarNet => "tpm-tarnet",
-            MethodKind::TpmOffsetNet => "tpm-offsetnet",
-            MethodKind::TpmSnet => "tpm-snet",
-            MethodKind::Dr => "dr",
-            MethodKind::DrWithMc => "dr-mc",
-            MethodKind::Drp => "drp",
-            MethodKind::DrpWithMc => "drp-mc",
-            MethodKind::Rdrp => "rdrp",
-        }
-    }
+/// The paper-style row label of a registered method.
+///
+/// # Panics
+/// Panics when `name` is not in the registry.
+pub fn label(name: &str) -> &'static str {
+    rdrp::methods::spec(name)
+        .unwrap_or_else(|| panic!("{name:?} is not a registered method"))
+        .label
 }
 
 /// Shared network hyperparameters for the neural baselines.
@@ -157,13 +79,13 @@ pub fn table_method_config() -> MethodConfig {
     }
 }
 
-/// Fits `kind` on `data` through the shared method registry and returns
-/// its test-set ranking scores. Scoring is the same deterministic path
+/// Fits the registered method `name` on `data` and returns its test-set
+/// ranking scores. Scoring is the same deterministic path
 /// the CLI and the serving layer use (MC sweeps reseed from
 /// [`rdrp::SCORING_SEED`] rather than forking the harness RNG).
-pub fn score_method(kind: MethodKind, data: &ExperimentData, rng: &mut Prng) -> Vec<f64> {
-    let mut method = rdrp::build(kind.registry_name(), &table_method_config())
-        .expect("every MethodKind is registered");
+pub fn score_method(name: &str, data: &ExperimentData, rng: &mut Prng) -> Vec<f64> {
+    let mut method = rdrp::build(name, &table_method_config())
+        .unwrap_or_else(|e| panic!("{name:?} is not a registered method: {e}"));
     method
         .fit(&data.train, &data.calibration, rng, &obs::Obs::disabled())
         .expect("bench data is well-formed");
@@ -187,20 +109,21 @@ tinyjson::json_struct!(MethodResult {
     per_seed
 });
 
-/// Runs `methods` on `(generator, setting)` for `seeds` replicates and
-/// returns each method's mean AUCC.
+/// Runs the registered `methods` on `(generator, setting)` for `seeds`
+/// replicates and returns each method's mean AUCC, under its paper
+/// label.
 pub fn run_setting(
     generator: &dyn RctGenerator,
     setting: Setting,
     sizes: &SettingSizes,
-    methods: &[MethodKind],
+    methods: &[&str],
     seeds: &[u64],
 ) -> Vec<MethodResult> {
     assert!(!seeds.is_empty(), "run_setting: need at least one seed");
     let mut results: Vec<MethodResult> = methods
         .iter()
         .map(|m| MethodResult {
-            method: m.label().to_string(),
+            method: label(m).to_string(),
             aucc: 0.0,
             per_seed: Vec::with_capacity(seeds.len()),
         })
@@ -208,7 +131,7 @@ pub fn run_setting(
     for &seed in seeds {
         let mut rng = Prng::seed_from_u64(seed);
         let data = ExperimentData::build(generator, setting, sizes, &mut rng);
-        for (mi, &method) in methods.iter().enumerate() {
+        for (mi, method) in methods.iter().enumerate() {
             let mut mrng = rng.fork();
             let scores = score_method(method, &data, &mut mrng);
             let aucc = metrics::aucc_from_labels(&data.test, &scores, AUCC_BINS);
@@ -247,19 +170,11 @@ mod tests {
 
     #[test]
     fn labels_cover_table_rows() {
-        assert_eq!(MethodKind::TABLE1.len(), 10);
-        assert_eq!(MethodKind::TABLE2.len(), 5);
-        assert_eq!(MethodKind::Rdrp.label(), "rDRP");
-        assert_eq!(MethodKind::TpmSnet.label(), "TPM-SNet");
-    }
-
-    #[test]
-    fn every_table_row_resolves_in_the_registry_with_matching_label() {
-        for kind in MethodKind::TABLE1.iter().chain(&MethodKind::TABLE2) {
-            let spec = rdrp::methods::spec(kind.registry_name())
-                .unwrap_or_else(|| panic!("{:?} not registered", kind));
-            assert_eq!(spec.label, kind.label(), "{kind:?}");
+        for name in TABLE1.iter().chain(&TABLE2) {
+            label(name);
         }
+        assert_eq!(label("rdrp"), "rDRP");
+        assert_eq!(label("tpm-snet"), "TPM-SNet");
     }
 
     #[test]
@@ -272,13 +187,7 @@ mod tests {
             test: 3_000,
         };
         // Cheap subset: one classical and one neural method, one seed.
-        let results = run_setting(
-            &gen,
-            Setting::SuNo,
-            &sizes,
-            &[MethodKind::TpmSl, MethodKind::Drp],
-            &[7],
-        );
+        let results = run_setting(&gen, Setting::SuNo, &sizes, &["tpm-sl", "drp"], &[7]);
         assert_eq!(results.len(), 2);
         for r in &results {
             assert!(

@@ -5,8 +5,8 @@
 //! paper-vs-measured comparison; the Criterion benches under `benches/`
 //! check the §IV-D time-complexity claims. Shared machinery lives here:
 //!
-//! * [`harness::MethodKind`] — the ten Table-I methods (and the ablation
-//!   variants of Table II) behind one interface,
+//! * [`harness::TABLE1`] and [`harness::TABLE2`] — each table's methods
+//!   as registry names, in the paper's row order,
 //! * [`harness::run_setting`] — fit + score + AUCC for a set of methods
 //!   on one (dataset, setting) cell, averaged over seeds,
 //! * [`report`] — markdown table printing and JSON result persistence.

@@ -20,14 +20,14 @@ use crate::score::scaled_score;
 use crate::split::SplitConformal;
 use std::collections::VecDeque;
 
-/// Knobs for [`OnlineConformal`]. The defaults follow the adaptive
-/// conformal literature (and the exemplar configs): a few hundred scores
-/// of memory, a small α step, and hard α bounds so feedback noise can
-/// never push the target coverage to an extreme.
+/// Knobs for [`OnlineConformal`]; the nominal level `α₀` is an argument
+/// of [`OnlineConformal::new`], because it belongs to the model being
+/// calibrated. The defaults follow the adaptive conformal literature
+/// (and the exemplar configs): a few hundred scores of memory, a small α
+/// step, and hard α bounds so feedback noise can never push the target
+/// coverage to an extreme.
 #[derive(Debug, Clone)]
 pub struct OnlineConformalConfig {
-    /// Nominal miscoverage level `α₀` the controller steers toward.
-    pub alpha: f64,
     /// Window capacity — the size of the sliding calibration set.
     pub window: usize,
     /// Minimum window fill before the calibrator reports itself ready;
@@ -49,7 +49,6 @@ pub struct OnlineConformalConfig {
 impl Default for OnlineConformalConfig {
     fn default() -> Self {
         OnlineConformalConfig {
-            alpha: 0.1,
             window: 256,
             min_window: 30,
             gamma: 0.02,
@@ -61,10 +60,11 @@ impl Default for OnlineConformalConfig {
 }
 
 impl OnlineConformalConfig {
-    /// Validates the configuration, returning the first problem found.
-    fn validate(&self) -> Option<String> {
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
-            return Some(format!("alpha {} outside (0, 1)", self.alpha));
+    /// Validates the configuration for the nominal level `alpha`,
+    /// returning the first problem found.
+    fn validate(&self, alpha: f64) -> Option<String> {
+        if !(alpha > 0.0 && alpha < 1.0) {
+            return Some(format!("alpha {alpha} outside (0, 1)"));
         }
         if self.window == 0 {
             return Some("window must be positive".to_string());
@@ -79,13 +79,13 @@ impl OnlineConformalConfig {
             return Some(format!("gamma {} is not a finite non-negative", self.gamma));
         }
         if !(self.alpha_min > 0.0
-            && self.alpha_min <= self.alpha
-            && self.alpha <= self.alpha_max
+            && self.alpha_min <= alpha
+            && alpha <= self.alpha_max
             && self.alpha_max < 1.0)
         {
             return Some(format!(
-                "alpha bounds [{}, {}] must bracket alpha {} inside (0, 1)",
-                self.alpha_min, self.alpha_max, self.alpha
+                "alpha bounds [{}, {}] must bracket alpha {alpha} inside (0, 1)",
+                self.alpha_min, self.alpha_max
             ));
         }
         if !(self.scale_floor > 0.0 && self.scale_floor.is_finite()) {
@@ -115,6 +115,8 @@ pub struct Observation {
 #[derive(Debug, Clone)]
 pub struct OnlineConformal {
     cfg: OnlineConformalConfig,
+    /// The nominal miscoverage level `α₀` the controller steers toward.
+    alpha0: f64,
     /// Arrival order, for FIFO eviction.
     arrivals: VecDeque<f64>,
     /// The same scores, ordered — `O(log n)` insert/remove/k-th.
@@ -129,25 +131,26 @@ pub struct OnlineConformal {
 }
 
 impl OnlineConformal {
-    /// Creates an empty calibrator.
+    /// Creates an empty calibrator steering toward the nominal
+    /// miscoverage level `alpha` (`α₀`).
     ///
     /// # Errors
-    /// [`ConformalError::InvalidAlpha`] when the configuration is
-    /// inconsistent (the offending value is reported via the error's
-    /// `value` field for α problems; structural problems use the same
-    /// variant with the nominal α, since they all amount to "this
-    /// configuration cannot produce a quantile").
-    pub fn new(cfg: OnlineConformalConfig) -> Result<Self, ConformalError> {
-        if cfg.validate().is_some() {
-            return Err(ConformalError::InvalidAlpha { value: cfg.alpha });
+    /// [`ConformalError::InvalidAlpha`] carrying `alpha` when `alpha` lies
+    /// outside `(0, 1)` or the configured α bounds, or the configuration
+    /// is otherwise inconsistent (structural problems use the same
+    /// variant, since they all amount to "this configuration cannot
+    /// produce a quantile").
+    pub fn new(alpha: f64, cfg: OnlineConformalConfig) -> Result<Self, ConformalError> {
+        if cfg.validate(alpha).is_some() {
+            return Err(ConformalError::InvalidAlpha { value: alpha });
         }
-        let alpha_t = cfg.alpha;
         let window = cfg.window;
         Ok(OnlineConformal {
             cfg,
+            alpha0: alpha,
             arrivals: VecDeque::with_capacity(window),
             tree: OrderStatTree::new(),
-            alpha_t,
+            alpha_t: alpha,
             outcomes: VecDeque::with_capacity(window),
             covered_in_window: 0,
             non_finite: 0,
@@ -226,7 +229,7 @@ impl OnlineConformal {
         let qhat = self.qhat()?;
         Some(SplitConformal::from_quantile(
             qhat,
-            self.cfg.alpha,
+            self.alpha0,
             self.len(),
             self.cfg.scale_floor,
         ))
@@ -265,7 +268,7 @@ impl OnlineConformal {
             self.covered_in_window += usize::from(hit);
             let err = if hit { 0.0 } else { 1.0 };
             if self.cfg.gamma > 0.0 {
-                self.alpha_t = (self.alpha_t + self.cfg.gamma * (self.cfg.alpha - err))
+                self.alpha_t = (self.alpha_t + self.cfg.gamma * (self.alpha0 - err))
                     .clamp(self.cfg.alpha_min, self.cfg.alpha_max);
             }
         }
@@ -496,13 +499,15 @@ mod tests {
     fn window_quantile_matches_conformal_quantile_exactly() {
         let mut rng = Prng::seed_from_u64(3);
         for &(window, alpha) in &[(7usize, 0.1), (64, 0.1), (50, 0.25), (128, 0.05)] {
-            let mut online = OnlineConformal::new(OnlineConformalConfig {
-                window,
-                min_window: 1,
+            let mut online = OnlineConformal::new(
                 alpha,
-                gamma: 0.0, // freeze alpha so the reference level is fixed
-                ..OnlineConformalConfig::default()
-            })
+                OnlineConformalConfig {
+                    window,
+                    min_window: 1,
+                    gamma: 0.0, // freeze alpha so the reference level is fixed
+                    ..OnlineConformalConfig::default()
+                },
+            )
             .unwrap();
             let mut reference: VecDeque<f64> = VecDeque::new();
             for step in 0..600 {
@@ -551,11 +556,14 @@ mod tests {
 
     #[test]
     fn eviction_is_fifo_and_bounded() {
-        let mut online = OnlineConformal::new(OnlineConformalConfig {
-            window: 3,
-            min_window: 1,
-            ..OnlineConformalConfig::default()
-        })
+        let mut online = OnlineConformal::new(
+            0.1,
+            OnlineConformalConfig {
+                window: 3,
+                min_window: 1,
+                ..OnlineConformalConfig::default()
+            },
+        )
         .unwrap();
         for s in [5.0, 1.0, 3.0, 2.0] {
             online.push_score(s);
@@ -570,7 +578,7 @@ mod tests {
 
     #[test]
     fn nan_feedback_is_counted_and_dropped() {
-        let mut online = OnlineConformal::new(OnlineConformalConfig::default()).unwrap();
+        let mut online = OnlineConformal::new(0.1, OnlineConformalConfig::default()).unwrap();
         online.push_score(1.0);
         let obs = online.observe(f64::NAN, 1.0, 0.5);
         assert_eq!(obs.covered, None);
@@ -589,7 +597,7 @@ mod tests {
             ..OnlineConformalConfig::default()
         };
         // Persistent misses drive alpha down (wider intervals)...
-        let mut online = OnlineConformal::new(cfg.clone()).unwrap();
+        let mut online = OnlineConformal::new(0.1, cfg.clone()).unwrap();
         for _ in 0..20 {
             online.push_score(1.0);
         }
@@ -609,14 +617,16 @@ mod tests {
 
     #[test]
     fn coverage_accounting_is_windowed() {
-        let mut online = OnlineConformal::new(OnlineConformalConfig {
-            window: 4,
-            min_window: 1,
-            gamma: 0.0,
-            alpha: 0.5,
-            alpha_max: 0.6,
-            ..OnlineConformalConfig::default()
-        })
+        let mut online = OnlineConformal::new(
+            0.5,
+            OnlineConformalConfig {
+                window: 4,
+                min_window: 1,
+                gamma: 0.0,
+                alpha_max: 0.6,
+                ..OnlineConformalConfig::default()
+            },
+        )
         .unwrap();
         assert_eq!(online.empirical_coverage(), None);
         online.push_score(1.0);
@@ -635,14 +645,16 @@ mod tests {
 
     #[test]
     fn predictor_freezes_the_window_quantile() {
-        let mut online = OnlineConformal::new(OnlineConformalConfig {
-            window: 8,
-            min_window: 1,
-            alpha: 0.5,
-            alpha_max: 0.6,
-            gamma: 0.0,
-            ..OnlineConformalConfig::default()
-        })
+        let mut online = OnlineConformal::new(
+            0.5,
+            OnlineConformalConfig {
+                window: 8,
+                min_window: 1,
+                alpha_max: 0.6,
+                gamma: 0.0,
+                ..OnlineConformalConfig::default()
+            },
+        )
         .unwrap();
         assert!(online.predictor().is_none());
         for s in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0] {
@@ -656,11 +668,10 @@ mod tests {
 
     #[test]
     fn rejects_inconsistent_config() {
+        // α₀ outside (0, 1), and α₀ below the default α bounds.
+        assert!(OnlineConformal::new(0.0, OnlineConformalConfig::default()).is_err());
+        assert!(OnlineConformal::new(0.005, OnlineConformalConfig::default()).is_err());
         for cfg in [
-            OnlineConformalConfig {
-                alpha: 0.0,
-                ..OnlineConformalConfig::default()
-            },
             OnlineConformalConfig {
                 window: 0,
                 ..OnlineConformalConfig::default()
@@ -676,7 +687,6 @@ mod tests {
             },
             OnlineConformalConfig {
                 alpha_min: 0.2,
-                alpha: 0.1,
                 ..OnlineConformalConfig::default()
             },
             OnlineConformalConfig {
@@ -688,7 +698,7 @@ mod tests {
                 ..OnlineConformalConfig::default()
             },
         ] {
-            assert!(OnlineConformal::new(cfg).is_err());
+            assert!(OnlineConformal::new(0.1, cfg).is_err());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Hyperparameter configuration.
 //!
-//! The paper states DRP and rDRP share hyperparameters with [5]: one
+//! The paper states DRP and rDRP share hyperparameters with \[5\]: one
 //! hidden layer of 10–100 units (we default to 64), MC dropout repeated
 //! 10–100 times (we default to 50), calibration sets of 1 000–10 000
 //! points, binary-search tolerance around 1e-3 (we use 1e-4), and a

@@ -195,7 +195,6 @@ impl DrpModel {
             lr: self.config.lr,
             grad_clip: self.config.grad_clip,
             weight_decay: self.config.weight_decay,
-            ..TrainConfig::default()
         };
         let report = nn::train(&mut net, &z, &objective, &cfg, rng, obs)?;
         self.state = Some(Fitted {

@@ -25,7 +25,6 @@ use crate::artifact;
 use crate::error::PipelineError;
 use crate::methods::{self, MethodConfig, RoiMethod};
 use crate::persist::PersistError;
-use conformal::Interval;
 use datasets::multi::MultiRctDataset;
 use linalg::random::Prng;
 use linalg::vector::argsort_desc;
@@ -83,22 +82,6 @@ pub trait KArmRoiMethod: Send + Sync + fmt::Debug {
     /// Panics when unfitted (callers gate on
     /// [`KArmRoiMethod::is_fitted`]).
     fn score_matrix(&self, x: &Matrix, obs: &Obs) -> Vec<Vec<f64>>;
-
-    /// [`KArmRoiMethod::score_matrix`] through the columnar f32 kernel
-    /// path where the inner models have one; defaults to the scalar
-    /// path. The DESIGN.md §11 tolerance contract applies per row.
-    ///
-    /// # Panics
-    /// Panics when unfitted.
-    fn score_matrix_block(&self, x: &Matrix, obs: &Obs) -> Vec<Vec<f64>> {
-        self.score_matrix(x, obs)
-    }
-
-    /// Per-arm conformal intervals (`(K − 1) × n`), when every arm's
-    /// inner method calibrates them; `None` otherwise.
-    fn interval_matrix(&self, _x: &Matrix) -> Option<Vec<Vec<Interval>>> {
-        None
-    }
 
     /// The artifact body [`load_karm_method`] reconstructs this method
     /// from. For [`PerArm`] this is `{"arms": [body, ...]}`; natives
@@ -160,7 +143,7 @@ impl PerArm {
 
     /// Cross-arm **comparable** scores for the multiple-choice allocator
     /// (`(K − 1) × n`), when every arm is a calibrated rDRP; `None`
-    /// otherwise, like [`KArmRoiMethod::interval_matrix`].
+    /// otherwise.
     ///
     /// Each arm's calibrated rDRP score only ranks *within* that arm:
     /// arms may select Eq. 5 forms of very different magnitudes (e.g.
@@ -251,14 +234,6 @@ impl KArmRoiMethod for PerArm {
 
     fn score_matrix(&self, x: &Matrix, obs: &Obs) -> Vec<Vec<f64>> {
         self.arms.iter().map(|a| a.scores_fresh(x, obs)).collect()
-    }
-
-    fn score_matrix_block(&self, x: &Matrix, obs: &Obs) -> Vec<Vec<f64>> {
-        self.arms.iter().map(|a| a.scores_block(x, obs)).collect()
-    }
-
-    fn interval_matrix(&self, x: &Matrix) -> Option<Vec<Vec<Interval>>> {
-        self.arms.iter().map(|a| a.intervals(x)).collect()
     }
 
     fn body_to_json(&self) -> Value {
@@ -361,10 +336,6 @@ impl KArmRoiMethod for KArmTpmMethod {
 
     fn score_matrix(&self, x: &Matrix, _obs: &Obs) -> Vec<Vec<f64>> {
         self.model.predict_roi_matrix(x)
-    }
-
-    fn score_matrix_block(&self, x: &Matrix, _obs: &Obs) -> Vec<Vec<f64>> {
-        self.model.predict_roi_matrix_block(x)
     }
 
     fn body_to_json(&self) -> Value {
@@ -735,25 +706,6 @@ mod tests {
         assert_eq!(loaded.n_arms(), 4);
         assert_eq!(loaded.score_matrix(&test.x, &Obs::disabled()), matrix);
         let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn rdrp_per_arm_exposes_interval_matrix() {
-        let gen = MultiCouponGenerator::new(2);
-        let mut rng = Prng::seed_from_u64(3);
-        let train = gen.sample(900, Population::Base, &mut rng);
-        let cal = gen.sample(400, Population::Base, &mut rng);
-        let test = gen.sample(40, Population::Base, &mut rng);
-
-        let mut m = build_karm("rdrp", 3, &config()).unwrap();
-        m.fit(&train, &cal, &mut rng, &Obs::disabled()).unwrap();
-        let intervals = m.interval_matrix(&test.x).unwrap();
-        assert_eq!(intervals.len(), 2);
-        assert!(intervals.iter().all(|row| row.len() == test.len()));
-        // Methods without a conformal stage answer None.
-        let mut plain = build_karm("tpm-xl", 3, &config()).unwrap();
-        plain.fit(&train, &cal, &mut rng, &Obs::disabled()).unwrap();
-        assert!(plain.interval_matrix(&test.x).is_none());
     }
 
     /// `PerArm` over `"rdrp"`: the paper's §VI Divide and Conquer, one

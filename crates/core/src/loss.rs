@@ -12,7 +12,7 @@
 //! `w_i = 1/N₁` for treated and `−1/N₀` for control rows (`N₁`, `N₀`
 //! counted within the minibatch, as in the paper's batch training).
 //!
-//! Convexity (Theorem 2 of [5]): for a *shared* score `s`, the derivative
+//! Convexity (Theorem 2 of \[5\]): for a *shared* score `s`, the derivative
 //! `L'(s) = τ̄^c σ(s) − τ̄^r` is increasing whenever the mean cost uplift
 //! `τ̄^c > 0` (Assumption 4), so the loss has a unique minimum at
 //! `σ(s*) = τ̄^r / τ̄^c` — the population ROI. This is what Algorithm 2's

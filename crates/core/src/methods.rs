@@ -135,6 +135,13 @@ pub trait RoiMethod: Send + Sync + fmt::Debug {
         self.as_rdrp().and_then(Rdrp::qhat)
     }
 
+    /// The miscoverage level `α` of the conformal stage [`RoiMethod::qhat`]
+    /// belongs to: the level the online calibration monitor keeps
+    /// recalibrating at. `None` exactly when `qhat` is.
+    fn alpha(&self) -> Option<f64> {
+        self.as_rdrp().and_then(Rdrp::alpha)
+    }
+
     /// A copy of this method with its conformal quantile replaced — the
     /// online-recalibration hot-swap path. `None` for methods without a
     /// conformal stage (they have nothing to recalibrate), when the

@@ -556,6 +556,12 @@ impl Rdrp {
         self.state.as_ref().map(|s| s.conformal.qhat())
     }
 
+    /// The miscoverage level `α` the fitted `q̂` was calibrated at, or
+    /// `None` before fitting.
+    pub fn alpha(&self) -> Option<f64> {
+        self.state.as_ref().map(|s| s.conformal.alpha())
+    }
+
     /// A copy of this fitted model with the conformal quantile replaced —
     /// the online-recalibration hot-swap path. Everything else (trained
     /// DRP, selected form, `α`, scale floor) is kept; the diagnostics

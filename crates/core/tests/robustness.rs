@@ -87,7 +87,7 @@ fn diverging_learning_rate_errors_or_recovers_never_panics() {
             assert!(scores.iter().all(|s| s.is_finite()));
         }
         Err(FitError::Train(nn::TrainError::Diverged { attempts, .. })) => {
-            assert_eq!(attempts, nn::TrainConfig::default().max_divergence_retries);
+            assert_eq!(attempts, nn::trainer::MAX_DIVERGENCE_RETRIES);
         }
         Err(other) => panic!("expected Diverged, got {other:?}"),
     }

@@ -126,10 +126,12 @@ pub struct Standardizer {
 }
 
 tinyjson::json_struct!(Standardizer { means, stds } check |s: &Standardizer| {
-    if s.means.len() == s.stds.len() {
-        Ok(())
-    } else {
+    if s.means.len() != s.stds.len() {
         Err(format!("{} means but {} stds", s.means.len(), s.stds.len()))
+    } else if s.means.iter().chain(&s.stds).any(|v| !v.is_finite()) {
+        Err("non-finite mean or std".to_string())
+    } else {
+        Ok(())
     }
 });
 

@@ -8,7 +8,7 @@
 //! random ranking walks the diagonal (AUCC = 0.5); a perfect ROI ranking
 //! bows the curve up-left (AUCC → 1).
 //!
-//! [`qini`] and [`uplift_at_k`] are standard companions used by the
+//! [`qini()`] and [`uplift_at_k`] are standard companions used by the
 //! ablation analysis, and [`rank_correlation`] supports model-selection
 //! diagnostics.
 

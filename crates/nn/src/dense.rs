@@ -1,7 +1,6 @@
 //! Fully connected layer with manual backpropagation.
 
 use crate::activation::Activation;
-use crate::init::Init;
 use crate::Scratch;
 use linalg::random::Prng;
 use linalg::Matrix;
@@ -64,10 +63,12 @@ struct DenseSpec {
 }
 
 tinyjson::json_struct!(DenseSpec { w, b, activation } check |d: &DenseSpec| {
-    if d.b.len() == d.w.cols() {
-        Ok(())
-    } else {
+    if d.b.len() != d.w.cols() {
         Err(format!("{} biases for {} units", d.b.len(), d.w.cols()))
+    } else if !d.w.is_finite() || d.b.iter().any(|v| !v.is_finite()) {
+        Err("non-finite weight or bias".to_string())
+    } else {
+        Ok(())
     }
 });
 
@@ -114,17 +115,11 @@ impl From<Dense> for DenseSpec {
 }
 
 impl Dense {
-    /// Creates a dense layer with the given fan-in/out, activation, and
-    /// weight initialization. Biases start at zero.
-    pub fn new(
-        fan_in: usize,
-        fan_out: usize,
-        activation: Activation,
-        init: Init,
-        rng: &mut Prng,
-    ) -> Self {
+    /// Creates a dense layer with the given fan-in/out and activation.
+    /// Weights are drawn Xavier-uniform from `rng`; biases start at zero.
+    pub fn new(fan_in: usize, fan_out: usize, activation: Activation, rng: &mut Prng) -> Self {
         Dense {
-            w: init.weights(fan_in, fan_out, rng),
+            w: crate::init::xavier_uniform(fan_in, fan_out, rng),
             b: vec![0.0; fan_out],
             activation,
             grad_w: Matrix::zeros(fan_in, fan_out),
@@ -338,7 +333,7 @@ mod tests {
 
     fn layer(fan_in: usize, fan_out: usize, act: Activation) -> Dense {
         let mut rng = Prng::seed_from_u64(11);
-        Dense::new(fan_in, fan_out, act, Init::XavierUniform, &mut rng)
+        Dense::new(fan_in, fan_out, act, &mut rng)
     }
 
     #[test]
@@ -352,7 +347,7 @@ mod tests {
     #[test]
     fn identity_layer_is_affine() {
         let mut rng = Prng::seed_from_u64(3);
-        let mut l = Dense::new(2, 1, Activation::Identity, Init::XavierUniform, &mut rng);
+        let mut l = Dense::new(2, 1, Activation::Identity, &mut rng);
         let x = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![0.0, 0.0]]);
         let y = l.forward(&x, false).clone();
         let w = l.weights();

@@ -1,52 +1,28 @@
-//! Weight initialization schemes.
+//! Weight initialization.
 
 use linalg::random::Prng;
 use linalg::Matrix;
 
-/// How to initialize a dense layer's weight matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Init {
-    /// Glorot/Xavier uniform: `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
-    /// Good default for sigmoid/tanh layers.
-    XavierUniform,
-    /// He normal: `N(0, sqrt(2 / fan_in))`. Good default for ReLU layers.
-    HeNormal,
-    /// All zeros (used in tests and for bias vectors).
-    Zeros,
-}
-
-impl Init {
-    /// Samples a `fan_in x fan_out` weight matrix.
-    pub fn weights(self, fan_in: usize, fan_out: usize, rng: &mut Prng) -> Matrix {
-        match self {
-            Init::XavierUniform => {
-                let a = (6.0 / (fan_in + fan_out) as f64).sqrt();
-                let data = (0..fan_in * fan_out)
-                    .map(|_| rng.uniform_in(-a, a))
-                    .collect();
-                Matrix::from_vec(fan_in, fan_out, data)
-            }
-            Init::HeNormal => {
-                let std = (2.0 / fan_in.max(1) as f64).sqrt();
-                let data = (0..fan_in * fan_out)
-                    .map(|_| rng.gaussian_with(0.0, std))
-                    .collect();
-                Matrix::from_vec(fan_in, fan_out, data)
-            }
-            Init::Zeros => Matrix::zeros(fan_in, fan_out),
-        }
-    }
+/// Samples a `fan_in x fan_out` Glorot/Xavier-uniform weight matrix:
+/// `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`, drawn in row-major
+/// order.
+pub(crate) fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut Prng) -> Matrix {
+    let a = (6.0 / (fan_in + fan_out) as f64).sqrt();
+    let data = (0..fan_in * fan_out)
+        .map(|_| rng.uniform_in(-a, a))
+        .collect();
+    Matrix::from_vec(fan_in, fan_out, data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linalg::stats::{mean, std_dev};
+    use linalg::stats::std_dev;
 
     #[test]
     fn xavier_respects_bound() {
         let mut rng = Prng::seed_from_u64(0);
-        let w = Init::XavierUniform.weights(100, 50, &mut rng);
+        let w = xavier_uniform(100, 50, &mut rng);
         let a = (6.0 / 150.0f64).sqrt();
         assert!(w.as_slice().iter().all(|v| v.abs() <= a));
         // Not all identical.
@@ -54,25 +30,9 @@ mod tests {
     }
 
     #[test]
-    fn he_normal_moments() {
-        let mut rng = Prng::seed_from_u64(1);
-        let w = Init::HeNormal.weights(200, 200, &mut rng);
-        let want_std = (2.0 / 200.0f64).sqrt();
-        assert!(mean(w.as_slice()).abs() < 0.01);
-        assert!((std_dev(w.as_slice()) - want_std).abs() < 0.01);
-    }
-
-    #[test]
-    fn zeros_is_zero() {
-        let mut rng = Prng::seed_from_u64(2);
-        let w = Init::Zeros.weights(3, 4, &mut rng);
-        assert!(w.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn deterministic_given_seed() {
-        let a = Init::HeNormal.weights(10, 10, &mut Prng::seed_from_u64(9));
-        let b = Init::HeNormal.weights(10, 10, &mut Prng::seed_from_u64(9));
+        let a = xavier_uniform(10, 10, &mut Prng::seed_from_u64(9));
+        let b = xavier_uniform(10, 10, &mut Prng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 }

@@ -8,8 +8,9 @@
 //! while the trunk representation is shared across all arms — the same
 //! weight-sharing trick TARNet uses for two arms, generalized to K.
 //!
-//! The loop mirrors [`crate::trainer::train`]'s structure (minibatches,
-//! Adam, global-norm clipping via [`clipped_step`]) but fails fast on a
+//! The loop mirrors [`crate::trainer::train`]'s structure and takes its
+//! [`TrainConfig`] (minibatches, Adam, global-norm clipping via
+//! [`clipped_step`]) but fails fast on a
 //! non-finite loss instead of carrying the checkpoint-rollback machinery:
 //! the K-arm fitters feed it bounded synthetic outcomes where divergence
 //! means bad inputs, not bad luck.
@@ -17,41 +18,12 @@
 use crate::error::{DivergenceCause, TrainError};
 use crate::multihead::{clipped_step, MultiHeadNet};
 use crate::optimizer::Adam;
+use crate::trainer::TrainConfig;
 use crate::Mode;
 use crate::{Activation, Mlp};
 use linalg::random::Prng;
 use linalg::Matrix;
 use obs::Obs;
-
-/// Hyperparameters for the masked K-arm head trainer.
-#[derive(Debug, Clone)]
-pub struct KArmTrainConfig {
-    /// Number of passes over the data.
-    pub epochs: usize,
-    /// Minibatch size (clamped to the dataset size).
-    pub batch_size: usize,
-    /// Adam learning rate.
-    pub lr: f64,
-    /// Shuffle sample order each epoch.
-    pub shuffle: bool,
-    /// L2 weight decay coefficient (0 disables).
-    pub weight_decay: f64,
-    /// Global gradient-norm clip (0 disables).
-    pub grad_clip: f64,
-}
-
-impl Default for KArmTrainConfig {
-    fn default() -> Self {
-        KArmTrainConfig {
-            epochs: 100,
-            batch_size: 256,
-            lr: 1e-3,
-            shuffle: true,
-            weight_decay: 0.0,
-            grad_clip: 5.0,
-        }
-    }
-}
 
 /// Builds the canonical K-arm network: a `rep_dim`-unit tanh trunk and
 /// one scalar head per arm (a `head_hidden`-unit tanh layer feeding an
@@ -124,7 +96,7 @@ pub fn train_arm_heads(
     x: &Matrix,
     arms: &[u8],
     y: &[f64],
-    config: &KArmTrainConfig,
+    config: &TrainConfig,
     rng: &mut Prng,
     obs: &Obs,
 ) -> Result<Vec<f64>, TrainError> {
@@ -138,9 +110,7 @@ pub fn train_arm_heads(
     // The minibatch's rows, rebuilt in place every step.
     let mut xb = Matrix::default();
     for epoch in 0..config.epochs {
-        if config.shuffle {
-            rng.shuffle(&mut order);
-        }
+        rng.shuffle(&mut order);
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(batch) {
@@ -212,10 +182,10 @@ mod tests {
         let (x, arms, y) = three_arm_problem(600, 1);
         let mut rng = Prng::seed_from_u64(2);
         let mut net = build_karm_net(1, 8, 4, 3, &mut rng);
-        let cfg = KArmTrainConfig {
+        let cfg = TrainConfig {
             epochs: 200,
             lr: 5e-3,
-            ..KArmTrainConfig::default()
+            ..TrainConfig::default()
         };
         let losses =
             train_arm_heads(&mut net, &x, &arms, &y, &cfg, &mut rng, &Obs::disabled()).unwrap();
@@ -234,9 +204,9 @@ mod tests {
         let run = || {
             let mut rng = Prng::seed_from_u64(4);
             let mut net = build_karm_net(1, 4, 0, 3, &mut rng);
-            let cfg = KArmTrainConfig {
+            let cfg = TrainConfig {
                 epochs: 15,
-                ..KArmTrainConfig::default()
+                ..TrainConfig::default()
             };
             train_arm_heads(&mut net, &x, &arms, &y, &cfg, &mut rng, &Obs::disabled()).unwrap()
         };
@@ -247,7 +217,7 @@ mod tests {
     fn shape_problems_are_typed_errors() {
         let (x, arms, y) = three_arm_problem(30, 5);
         let mut rng = Prng::seed_from_u64(6);
-        let cfg = KArmTrainConfig::default();
+        let cfg = TrainConfig::default();
         // Arm index with no head.
         let mut two_heads = build_karm_net(1, 4, 0, 2, &mut rng);
         let err = train_arm_heads(
@@ -295,10 +265,7 @@ mod tests {
         y[3] = f64::NAN;
         let mut rng = Prng::seed_from_u64(8);
         let mut net = build_karm_net(1, 4, 0, 3, &mut rng);
-        let cfg = KArmTrainConfig {
-            shuffle: false,
-            ..KArmTrainConfig::default()
-        };
+        let cfg = TrainConfig::default();
         let err =
             train_arm_heads(&mut net, &x, &arms, &y, &cfg, &mut rng, &Obs::disabled()).unwrap_err();
         assert!(

@@ -15,7 +15,7 @@
 //!   (Eq. 2 of the paper) and the Direct Rank loss need per-sample
 //!   gradients that depend on treatment labels and batch-level
 //!   normalization, so objectives receive the batch's dataset row indices.
-//! * [`Sgd`]/[`Adam`] optimizers and a minibatch [`trainer`].
+//! * The [`Adam`] optimizer and a minibatch [`trainer`].
 //! * [`MultiHeadNet`] — a shared trunk with several heads, for the
 //!   TARNet/DragonNet/OffsetNet/SNet baselines.
 //!
@@ -32,7 +32,7 @@ pub mod activation;
 pub mod dense;
 pub mod dropout;
 pub mod error;
-pub mod init;
+mod init;
 pub mod karm;
 pub mod mc;
 pub mod mlp;
@@ -45,12 +45,12 @@ pub use activation::Activation;
 pub use dense::Dense;
 pub use dropout::{Dropout, Mode};
 pub use error::{DivergenceCause, TrainError};
-pub use karm::{build_karm_net, train_arm_heads, KArmTrainConfig};
+pub use karm::{build_karm_net, train_arm_heads};
 pub use mc::{mc_predict, mc_predict_map, McStats};
 pub use mlp::{BlockWorkspace, Mlp, Workspace};
 pub use multihead::MultiHeadNet;
 pub use objective::{BceObjective, MseObjective, Objective};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::Adam;
 pub use trainer::{train, Recovery, TrainConfig, TrainReport};
 
 /// Training buffers a layer reuses from one step to the next, boxed so

@@ -3,7 +3,6 @@
 use crate::activation::Activation;
 use crate::dense::Dense;
 use crate::dropout::{Dropout, Mode};
-use crate::init::Init;
 use linalg::block::{Dispatch, FeatureBlock, PackedGemm};
 use linalg::random::Prng;
 use linalg::Matrix;
@@ -167,7 +166,6 @@ impl MlpBuilder {
                         current_dim,
                         units,
                         activation,
-                        Init::XavierUniform,
                         rng,
                     )));
                     current_dim = units;

@@ -7,7 +7,7 @@
 //! model-specific head wiring and losses live in the `uplift` crate.
 
 use crate::mlp::{Mlp, Workspace};
-use crate::optimizer::Optimizer;
+use crate::optimizer::Adam;
 use crate::Mode;
 use linalg::random::Prng;
 use linalg::Matrix;
@@ -24,11 +24,11 @@ impl Parameterized for Mlp {
     }
 }
 
-/// One optimizer step over a [`Parameterized`] model with global-norm
+/// One Adam step over a [`Parameterized`] model with global-norm
 /// gradient clipping (`grad_clip <= 0` disables) and L2 weight decay.
 pub fn clipped_step(
     model: &mut dyn Parameterized,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     grad_clip: f64,
     weight_decay: f64,
 ) {

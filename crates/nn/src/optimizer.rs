@@ -1,81 +1,9 @@
-//! First-order optimizers.
+//! The Adam optimizer every network here trains with.
 //!
-//! Optimizers keep per-parameter-tensor state keyed by a stable visitation
+//! Adam keeps per-parameter-tensor state keyed by a stable visitation
 //! index: the caller (the trainer) walks the network's parameter tensors
 //! in a fixed order and hands each `(params, grads)` pair to
-//! [`Optimizer::update`].
-
-/// A stateful first-order optimizer.
-pub trait Optimizer {
-    /// Applies one update step to a parameter tensor.
-    ///
-    /// `tensor_id` identifies the tensor across steps (the trainer visits
-    /// tensors in a stable order and numbers them 0, 1, 2, ...).
-    fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]);
-
-    /// Marks the end of an optimization step (after every tensor was
-    /// visited once). Default: no-op.
-    fn end_step(&mut self) {}
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    pub fn new(lr: f64) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum coefficient `momentum` (typically 0.9).
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    fn state(&mut self, id: usize, len: usize) -> &mut Vec<f64> {
-        while self.velocity.len() <= id {
-            self.velocity.push(Vec::new());
-        }
-        let v = &mut self.velocity[id];
-        if v.len() != len {
-            *v = vec![0.0; len];
-        }
-        v
-    }
-}
-
-impl Optimizer for Sgd {
-    fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "SGD: param/grad length mismatch");
-        let lr = self.lr;
-        let momentum = self.momentum;
-        if momentum == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                *p -= lr * g;
-            }
-        } else {
-            let v = self.state(tensor_id, params.len());
-            for ((p, &g), vi) in params.iter_mut().zip(grads).zip(v.iter_mut()) {
-                *vi = momentum * *vi + g;
-                *p -= lr * *vi;
-            }
-        }
-    }
-}
+//! [`Adam::update`].
 
 /// Adam (Kingma & Ba 2015) with bias correction.
 #[derive(Debug, Clone)]
@@ -113,10 +41,15 @@ impl Adam {
         }
         s
     }
-}
 
-impl Optimizer for Adam {
-    fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]) {
+    /// Applies one update step to a parameter tensor.
+    ///
+    /// `tensor_id` identifies the tensor across steps (the trainer visits
+    /// tensors in a stable order and numbers them 0, 1, 2, ...).
+    ///
+    /// # Panics
+    /// Panics when `params` and `grads` differ in length.
+    pub fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]) {
         assert_eq!(
             params.len(),
             grads.len(),
@@ -145,7 +78,9 @@ impl Optimizer for Adam {
         }
     }
 
-    fn end_step(&mut self) {
+    /// Marks the end of an optimization step (after every tensor was
+    /// visited once).
+    pub fn end_step(&mut self) {
         self.t += 1;
     }
 }
@@ -154,36 +89,17 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimize f(x) = (x - 3)^2 with each optimizer.
-    fn minimize(opt: &mut dyn Optimizer, steps: usize) -> f64 {
+    /// Minimizes f(x) = (x - 3)^2.
+    #[test]
+    fn adam_converges_on_quadratic() {
+        let mut opt = Adam::new(0.1);
         let mut x = [0.0f64];
-        for _ in 0..steps {
+        for _ in 0..500 {
             let g = [2.0 * (x[0] - 3.0)];
             opt.update(0, &mut x, &g);
             opt.end_step();
         }
-        x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = minimize(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let x = minimize(&mut opt, 400);
-        assert!((x - 3.0).abs() < 1e-4, "x = {x}");
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(0.1);
-        let x = minimize(&mut opt, 500);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
+        assert!((x[0] - 3.0).abs() < 1e-3, "x = {}", x[0]);
     }
 
     #[test]
@@ -214,7 +130,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         let mut x = [0.0f64; 2];
         opt.update(0, &mut x, &[1.0]);
     }

@@ -12,55 +12,37 @@
 
 use crate::error::{DivergenceCause, TrainError};
 use crate::mlp::Mlp;
+use crate::multihead::clipped_step;
 use crate::objective::Objective;
-use crate::optimizer::{Adam, Optimizer, Sgd};
+use crate::optimizer::Adam;
 use crate::Mode;
 use linalg::random::Prng;
 use linalg::Matrix;
 use obs::Obs;
 
-/// Which optimizer the trainer instantiates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OptimizerKind {
-    /// Plain SGD.
-    Sgd,
-    /// SGD with momentum 0.9.
-    Momentum,
-    /// Adam with canonical betas.
-    Adam,
-}
+/// How many times a diverged run rolls back to the best checkpoint and
+/// retries at half the learning rate before [`train`] gives up with
+/// [`TrainError::Diverged`].
+pub const MAX_DIVERGENCE_RETRIES: usize = 3;
 
-/// Training hyperparameters.
+/// Pre-clip global gradient norm beyond which a run is declared diverged
+/// (non-finite norms always trip).
+const GRAD_NORM_LIMIT: f64 = 1e6;
+
+/// Training hyperparameters. Every run uses Adam and shuffles the rows
+/// each epoch.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Number of passes over the data.
     pub epochs: usize,
     /// Minibatch size (clamped to the dataset size).
     pub batch_size: usize,
-    /// Learning rate.
+    /// Adam learning rate.
     pub lr: f64,
-    /// Optimizer choice.
-    pub optimizer: OptimizerKind,
-    /// Shuffle sample order each epoch.
-    pub shuffle: bool,
     /// L2 weight decay coefficient (0 disables).
     pub weight_decay: f64,
     /// Global gradient-norm clip (0 disables).
     pub grad_clip: f64,
-    /// Stop early when the epoch loss has not improved by at least
-    /// `min_delta` for `patience` consecutive epochs (`patience = 0`
-    /// disables early stopping).
-    pub patience: usize,
-    /// Minimum improvement that resets the patience counter.
-    pub min_delta: f64,
-    /// How many times a diverged run may roll back to the best checkpoint
-    /// and retry at half the learning rate before giving up with
-    /// [`TrainError::Diverged`] (0 = fail on the first divergence).
-    pub max_divergence_retries: usize,
-    /// Pre-clip global gradient norm beyond which the run is declared
-    /// diverged (0 disables the magnitude sentinel; non-finite norms
-    /// always trip).
-    pub grad_norm_limit: f64,
 }
 
 impl Default for TrainConfig {
@@ -69,14 +51,8 @@ impl Default for TrainConfig {
             epochs: 100,
             batch_size: 256,
             lr: 1e-3,
-            optimizer: OptimizerKind::Adam,
-            shuffle: true,
             weight_decay: 0.0,
             grad_clip: 5.0,
-            patience: 0,
-            min_delta: 1e-6,
-            max_divergence_retries: 3,
-            grad_norm_limit: 1e6,
         }
     }
 }
@@ -99,8 +75,6 @@ pub struct Recovery {
 pub struct TrainReport {
     /// Mean per-batch loss for each completed epoch.
     pub epoch_losses: Vec<f64>,
-    /// Whether early stopping fired before `epochs` finished.
-    pub stopped_early: bool,
     /// Every checkpoint-rollback the divergence guard performed, in
     /// order. Empty for a clean run.
     pub recoveries: Vec<Recovery>,
@@ -119,25 +93,17 @@ impl TrainReport {
     }
 }
 
-fn make_optimizer(kind: OptimizerKind, lr: f64) -> Box<dyn Optimizer> {
-    match kind {
-        OptimizerKind::Sgd => Box::new(Sgd::new(lr)),
-        OptimizerKind::Momentum => Box::new(Sgd::with_momentum(lr, 0.9)),
-        OptimizerKind::Adam => Box::new(Adam::new(lr)),
-    }
-}
-
 /// Checks the accumulated gradients for divergence: a non-finite global
-/// norm always trips; a finite norm trips when it exceeds `limit`
-/// (`limit <= 0` disables the magnitude check).
-fn gradient_sentinel(net: &mut Mlp, limit: f64) -> Option<DivergenceCause> {
+/// norm always trips; a finite norm trips when it exceeds
+/// [`GRAD_NORM_LIMIT`].
+fn gradient_sentinel(net: &mut Mlp) -> Option<DivergenceCause> {
     let mut sq = 0.0;
     net.visit_params(|_p, g| sq += g.iter().map(|v| v * v).sum::<f64>());
     let norm = sq.sqrt();
     if !norm.is_finite() {
         return Some(DivergenceCause::NonFiniteGradient);
     }
-    if limit > 0.0 && norm > limit {
+    if norm > GRAD_NORM_LIMIT {
         return Some(DivergenceCause::ExplodingGradient { norm });
     }
     None
@@ -180,17 +146,14 @@ pub fn train(
         });
     }
     let mut lr = config.lr;
-    let mut opt = make_optimizer(config.optimizer, lr);
+    let mut opt = Adam::new(lr);
     let n = x.rows();
     let batch = config.batch_size.clamp(1, n);
     let mut order: Vec<usize> = (0..n).collect();
     let mut report = TrainReport {
         epoch_losses: Vec::with_capacity(config.epochs),
-        stopped_early: false,
         recoveries: Vec::new(),
     };
-    let mut best = f64::INFINITY;
-    let mut stale = 0usize;
     // Rollback target: the weights of the best epoch so far (the initial
     // weights until an epoch completes).
     let mut checkpoint = net.clone();
@@ -201,9 +164,7 @@ pub fn train(
 
     let mut epoch = 0usize;
     while epoch < config.epochs {
-        if config.shuffle {
-            rng.shuffle(&mut order);
-        }
+        rng.shuffle(&mut order);
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         let mut tripped: Option<DivergenceCause> = None;
@@ -220,15 +181,15 @@ pub fn train(
             epoch_loss += loss;
             batches += 1;
             net.backward_params(&Matrix::from_vec(grad.len(), 1, grad));
-            if let Some(cause) = gradient_sentinel(net, config.grad_norm_limit) {
+            if let Some(cause) = gradient_sentinel(net) {
                 tripped = Some(cause);
                 break;
             }
-            apply_step(net, opt.as_mut(), config);
+            clipped_step(net, &mut opt, config.grad_clip, config.weight_decay);
         }
         if let Some(cause) = tripped {
             attempts += 1;
-            if attempts > config.max_divergence_retries {
+            if attempts > MAX_DIVERGENCE_RETRIES {
                 return Err(TrainError::Diverged {
                     epoch,
                     attempts: attempts - 1,
@@ -241,7 +202,7 @@ pub fn train(
             // trajectory and would re-poison the restored weights.
             net.clone_from(&checkpoint);
             lr *= 0.5;
-            opt = make_optimizer(config.optimizer, lr);
+            opt = Adam::new(lr);
             obs.counter("train.divergence_retries", 1.0);
             obs.event(
                 "train.divergence",
@@ -265,18 +226,6 @@ pub fn train(
             best_checkpoint_loss = mean_loss;
             checkpoint.clone_from(net);
         }
-        if config.patience > 0 {
-            if mean_loss < best - config.min_delta {
-                best = mean_loss;
-                stale = 0;
-            } else {
-                stale += 1;
-                if stale >= config.patience {
-                    report.stopped_early = true;
-                    break;
-                }
-            }
-        }
         epoch += 1;
     }
     if let Some(final_loss) = report.final_loss() {
@@ -284,12 +233,6 @@ pub fn train(
     }
     net.release_training_buffers();
     Ok(report)
-}
-
-/// One optimizer step over every parameter tensor of `net`, applying
-/// weight decay and global-norm gradient clipping from `config`.
-pub fn apply_step(net: &mut Mlp, opt: &mut dyn Optimizer, config: &TrainConfig) {
-    crate::multihead::clipped_step(net, opt, config.grad_clip, config.weight_decay);
 }
 
 #[cfg(test)]
@@ -365,28 +308,6 @@ mod tests {
             .count();
         let acc = correct as f64 / y.len() as f64;
         assert!(acc > 0.95, "accuracy {acc}");
-    }
-
-    #[test]
-    fn early_stopping_fires_on_plateau() {
-        let (x, y) = linear_problem(64, 4);
-        let mut rng = Prng::seed_from_u64(5);
-        let mut net = Mlp::builder(2)
-            .dense(4, Activation::Tanh)
-            .dense(1, Activation::Identity)
-            .build(&mut rng);
-        let obj = MseObjective::new(y);
-        let cfg = TrainConfig {
-            epochs: 10_000,
-            batch_size: 64,
-            lr: 0.05,
-            patience: 10,
-            min_delta: 1e-9,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut net, &x, &obj, &cfg, &mut rng, &Obs::disabled()).unwrap();
-        assert!(report.stopped_early, "expected early stop");
-        assert!(report.epoch_losses.len() < 10_000);
     }
 
     #[test]
@@ -500,7 +421,6 @@ mod tests {
         let obj = MseObjective::new(y);
         let cfg = TrainConfig {
             epochs: 10,
-            shuffle: false,
             batch_size: 64, // one batch: the NaN label poisons every epoch
             ..TrainConfig::default()
         };
@@ -512,7 +432,7 @@ mod tests {
                 cause,
             } => {
                 assert_eq!(epoch, 0, "NaN data diverges immediately");
-                assert_eq!(attempts, cfg.max_divergence_retries);
+                assert_eq!(attempts, MAX_DIVERGENCE_RETRIES);
                 assert!(matches!(cause, DivergenceCause::NonFiniteLoss { .. }));
             }
             other => panic!("expected Diverged, got {other:?}"),
@@ -521,8 +441,8 @@ mod tests {
 
     #[test]
     fn exploding_lr_without_clipping_is_a_typed_error_not_a_panic() {
-        // Feature scale x10 makes the MSE Hessian stiff; an absurd SGD
-        // step with clipping disabled must explode, trip the sentinel on
+        // Feature scale x10 makes the MSE Hessian stiff; absurd Adam
+        // steps with clipping disabled must explode, trip the sentinel on
         // every retry, and come back as a typed error.
         let (x, y) = linear_problem(128, 5);
         let x = x.scale(10.0);
@@ -536,7 +456,6 @@ mod tests {
             epochs: 50,
             batch_size: 32,
             lr: 1e9,
-            optimizer: OptimizerKind::Sgd,
             grad_clip: 0.0,
             ..TrainConfig::default()
         };
@@ -592,29 +511,6 @@ mod tests {
         // All attempted epochs still completed and training converged.
         assert_eq!(report.epoch_losses.len(), 200);
         assert!(report.final_loss().unwrap() < 0.05);
-    }
-
-    #[test]
-    fn retry_budget_zero_fails_on_first_divergence() {
-        let (x, y) = linear_problem(32, 12);
-        let mut rng = Prng::seed_from_u64(13);
-        let mut net = Mlp::builder(2)
-            .dense(4, Activation::Tanh)
-            .dense(1, Activation::Identity)
-            .build(&mut rng);
-        let obj = TransientNan {
-            inner: MseObjective::new(y),
-            remaining: Cell::new(1),
-        };
-        let cfg = TrainConfig {
-            max_divergence_retries: 0,
-            ..TrainConfig::default()
-        };
-        let err = train(&mut net, &x, &obj, &cfg, &mut rng, &Obs::disabled()).unwrap_err();
-        assert!(
-            matches!(err, TrainError::Diverged { attempts: 0, .. }),
-            "{err:?}"
-        );
     }
 
     /// The training step as plain `Matrix` products: every layer keeps
@@ -771,7 +667,6 @@ mod tests {
             lr: 0.05,
             grad_clip: 0.05,
             weight_decay: 0.0,
-            ..TrainConfig::default()
         };
         let mut init_rng = Prng::seed_from_u64(15);
         let mut net = Mlp::builder(2)

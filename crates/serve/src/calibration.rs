@@ -97,7 +97,8 @@ pub struct CalibrationMonitorConfig {
     /// lexicographically ordered, so `registry.get(name, None)` (newest
     /// version) always resolves to the latest recalibration.
     pub base_version: String,
-    /// Rolling-window calibrator knobs.
+    /// Rolling-window calibrator knobs. The nominal α is the served
+    /// model's own ([`RoiMethod::alpha`]).
     pub online: OnlineConformalConfig,
     /// Drift detector knobs.
     pub drift: DriftDetectorConfig,
@@ -178,12 +179,12 @@ impl CalibrationMonitor {
             .ok_or_else(|| MonitorError::UnknownModel {
                 name: cfg.model.clone(),
             })?;
-        if scorer.qhat().is_none() {
-            return Err(MonitorError::NotCalibrated {
-                name: cfg.model.clone(),
-            });
-        }
-        let online = OnlineConformal::new(cfg.online)?;
+        // Recalibrate at the served model's own level: a swapped-in q̂
+        // keeps the model's α, so the window must be quantiled at it.
+        let alpha = scorer.alpha().ok_or_else(|| MonitorError::NotCalibrated {
+            name: cfg.model.clone(),
+        })?;
+        let online = OnlineConformal::new(alpha, cfg.online)?;
         let drift = DriftDetector::new(reference, cfg.drift)?;
         Ok(CalibrationMonitor {
             registry,

@@ -8,8 +8,7 @@
 //! are crate-private, construction funnels through
 //! [`EngineConfigBuilder::build`], and the out-of-range combinations
 //! that used to wedge an engine at runtime (zero workers, a zero-row
-//! queue, zero shards, a zero default deadline) are typed
-//! [`ConfigError`]s at build time. [`EngineConfig::default`] remains the
+//! queue, zero shards) are typed [`ConfigError`]s at build time. [`EngineConfig::default`] remains the
 //! no-thought starting point and is always valid.
 //!
 //! The same config drives both [`ScoringEngine`](crate::ScoringEngine)
@@ -37,8 +36,6 @@ pub struct EngineConfig {
     pub(crate) max_wait: Duration,
     /// Submission-queue capacity in rows — the backpressure bound.
     pub(crate) queue_rows: usize,
-    /// Deadline applied to submissions that carry none of their own.
-    pub(crate) default_deadline: Option<Duration>,
     /// Worker-pool supervision knobs.
     pub(crate) supervisor: SupervisorConfig,
     /// Circuit-breaker / load-shedding knobs.
@@ -55,7 +52,6 @@ impl Default for EngineConfig {
             max_batch_rows: 1024,
             max_wait: Duration::from_micros(500),
             queue_rows: 16_384,
-            default_deadline: None,
             supervisor: SupervisorConfig::default(),
             breaker: BreakerConfig::default(),
             block_kernels: false,
@@ -99,12 +95,6 @@ impl EngineConfig {
     /// shard).
     pub fn queue_rows(&self) -> usize {
         self.queue_rows
-    }
-
-    /// Deadline applied to submissions that carry none of their own.
-    /// `None` (the default) leaves deadline-less requests unbounded.
-    pub fn default_deadline(&self) -> Option<Duration> {
-        self.default_deadline
     }
 
     /// Worker-pool supervision knobs.
@@ -165,12 +155,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Deadline applied to submissions that carry none of their own.
-    pub fn default_deadline(mut self, deadline: Duration) -> Self {
-        self.cfg.default_deadline = Some(deadline);
-        self
-    }
-
     /// Worker-pool supervision knobs.
     pub fn supervisor(mut self, supervisor: SupervisorConfig) -> Self {
         self.cfg.supervisor = supervisor;
@@ -194,8 +178,7 @@ impl EngineConfigBuilder {
     /// # Errors
     /// A typed [`ConfigError`] for each degenerate setting: an engine
     /// with zero workers, a zero-row queue, or a zero-row batch cap can
-    /// never score anything; zero shards leaves nothing to route to; a
-    /// zero default deadline expires every request at admission.
+    /// never score anything; zero shards leaves nothing to route to.
     pub fn build(self) -> Result<EngineConfig, ConfigError> {
         let cfg = self.cfg;
         if cfg.workers == 0 {
@@ -209,9 +192,6 @@ impl EngineConfigBuilder {
         }
         if cfg.shards == 0 {
             return Err(ConfigError::ZeroShards);
-        }
-        if cfg.default_deadline == Some(Duration::ZERO) {
-            return Err(ConfigError::ZeroDeadline);
         }
         Ok(cfg)
     }
@@ -229,9 +209,6 @@ pub enum ConfigError {
     ZeroBatchRows,
     /// `shards == 0`: no shard to route any connection to.
     ZeroShards,
-    /// `default_deadline == Some(0)`: every deadline-less request would
-    /// expire at admission.
-    ZeroDeadline,
 }
 
 impl fmt::Display for ConfigError {
@@ -241,7 +218,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroQueueRows => write!(f, "queue depth must be at least one row"),
             ConfigError::ZeroBatchRows => write!(f, "batch cap must be at least one row"),
             ConfigError::ZeroShards => write!(f, "engine needs at least one shard"),
-            ConfigError::ZeroDeadline => write!(f, "default deadline must be non-zero"),
         }
     }
 }
@@ -306,7 +282,6 @@ mod tests {
         assert_eq!(cfg.shards(), 1);
         assert_eq!(cfg.max_batch_rows(), 1024);
         assert_eq!(cfg.queue_rows(), 16_384);
-        assert_eq!(cfg.default_deadline(), None);
         assert!(!cfg.block_kernels());
     }
 
@@ -329,12 +304,6 @@ mod tests {
                 EngineConfig::builder().shards(0).build(),
                 ConfigError::ZeroShards,
             ),
-            (
-                EngineConfig::builder()
-                    .default_deadline(Duration::ZERO)
-                    .build(),
-                ConfigError::ZeroDeadline,
-            ),
         ];
         for (result, expected) in cases {
             assert_eq!(result.unwrap_err(), expected);
@@ -349,7 +318,6 @@ mod tests {
             .max_batch_rows(256)
             .max_wait(Duration::from_micros(50))
             .queue_rows(512)
-            .default_deadline(Duration::from_millis(20))
             .supervisor(SupervisorConfig {
                 respawn_after_panics: 7,
             })
@@ -366,7 +334,6 @@ mod tests {
         assert_eq!(cfg.max_batch_rows(), 256);
         assert_eq!(cfg.max_wait(), Duration::from_micros(50));
         assert_eq!(cfg.queue_rows(), 512);
-        assert_eq!(cfg.default_deadline(), Some(Duration::from_millis(20)));
         assert_eq!(cfg.supervisor().respawn_after_panics, 7);
         assert_eq!(cfg.breaker().shed_queue_rows, Some(100));
         assert!(cfg.block_kernels());

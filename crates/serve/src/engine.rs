@@ -328,7 +328,6 @@ impl ScoringEngine {
             });
         }
         let now = obs.now_ns();
-        let deadline = deadline.or(self.shared.cfg.default_deadline);
         state.queued_rows += rows.rows();
         state.pending.push_back(Job {
             scorer: Arc::clone(scorer),

@@ -42,7 +42,8 @@ use tinyjson::{json, JsonError};
 pub struct ScoreRequest {
     /// Caller-chosen correlation id, echoed in the response.
     pub id: String,
-    /// Registry model name; `None` means [`DEFAULT_MODEL`].
+    /// Registry model name; `None` means
+    /// [`DEFAULT_MODEL`](crate::registry::DEFAULT_MODEL).
     pub model: Option<String>,
     /// Registry model version; `None` means the newest registered.
     pub version: Option<String>,

@@ -171,7 +171,6 @@ impl DirectRank {
             lr: self.config.lr,
             grad_clip: self.config.grad_clip,
             weight_decay: self.config.weight_decay,
-            ..TrainConfig::default()
         };
         nn::train(&mut net, &z, &objective, &cfg, rng, &obs::Obs::disabled())?;
         self.state = Some(Fitted { scaler, net });

@@ -21,16 +21,14 @@
 //! the score matrix the MCKP allocator and the bandit loop consume.
 
 use crate::error::{check_finite_params, FitError};
-use crate::meta::const_col_block;
 use crate::regressor::{BaseLearner, FittedRegressor};
 use datasets::multi::MultiRctDataset;
 use datasets::TreatmentAssignment;
-use linalg::block::FeatureBlock;
 use linalg::random::Prng;
 use linalg::vector::safe_div;
 use linalg::Matrix;
-use nn::karm::{build_karm_net, train_arm_heads, KArmTrainConfig};
-use nn::MultiHeadNet;
+use nn::karm::{build_karm_net, train_arm_heads};
+use nn::{MultiHeadNet, TrainConfig};
 use obs::Obs;
 use tinyjson::{FromJson, JsonError, ToJson, Value};
 
@@ -66,9 +64,6 @@ pub trait KArmUpliftModel: std::fmt::Debug {
 
     /// The `(K − 1) × n` uplift matrix for the rows of `x`.
     fn predict_uplift_matrix(&self, x: &Matrix) -> Vec<Vec<f64>>;
-
-    /// Block-kernel twin of [`KArmUpliftModel::predict_uplift_matrix`].
-    fn predict_uplift_matrix_block(&self, x: &Matrix) -> Vec<Vec<f64>>;
 
     /// Tagged JSON for artifact persistence (`None` = not serializable).
     fn to_tagged_json(&self) -> Option<Value> {
@@ -215,28 +210,6 @@ impl KArmUpliftModel for KSLearner {
             .map(|k| mu(k).iter().zip(&mu0).map(|(a, b)| a - b).collect())
             .collect()
     }
-
-    fn predict_uplift_matrix_block(&self, x: &Matrix) -> Vec<Vec<f64>> {
-        let model = self.model.as_ref().expect("KSLearner: fit before predict");
-        let block = FeatureBlock::from_matrix(x);
-        let arm_cols = usize::from(self.n_arms) - 1;
-        let mu = |k: u8| {
-            let mut design = block.clone();
-            for j in 0..arm_cols {
-                let v = if k > 0 && usize::from(k) - 1 == j {
-                    1.0
-                } else {
-                    0.0
-                };
-                design = design.hstack(&const_col_block(x.rows(), v));
-            }
-            model.predict_block(&design)
-        };
-        let mu0 = mu(0);
-        (1..self.n_arms)
-            .map(|k| mu(k).iter().zip(&mu0).map(|(a, b)| a - b).collect())
-            .collect()
-    }
 }
 
 /// K-arm T-learner: one outcome model per arm (control included), fitted
@@ -306,22 +279,6 @@ impl KArmUpliftModel for KTLearner {
         mus[1..]
             .iter()
             .map(|m| m.predict(x).iter().zip(&mu0).map(|(a, b)| a - b).collect())
-            .collect()
-    }
-
-    fn predict_uplift_matrix_block(&self, x: &Matrix) -> Vec<Vec<f64>> {
-        let mus = self.mus.as_ref().expect("KTLearner: fit before predict");
-        let block = FeatureBlock::from_matrix(x);
-        let mu0 = mus[0].predict_block(&block);
-        mus[1..]
-            .iter()
-            .map(|m| {
-                m.predict_block(&block)
-                    .iter()
-                    .zip(&mu0)
-                    .map(|(a, b)| a - b)
-                    .collect()
-            })
             .collect()
     }
 }
@@ -447,30 +404,6 @@ impl KArmUpliftModel for KXLearner {
             })
             .collect()
     }
-
-    fn predict_uplift_matrix_block(&self, x: &Matrix) -> Vec<Vec<f64>> {
-        let tau_arm = self
-            .tau_arm
-            .as_ref()
-            .expect("KXLearner: fit before predict");
-        let tau_ctl = self
-            .tau_ctl
-            .as_ref()
-            .expect("KXLearner: fit before predict");
-        let block = FeatureBlock::from_matrix(x);
-        tau_arm
-            .iter()
-            .zip(tau_ctl)
-            .zip(&self.propensities)
-            .map(|((ta, tc), &e)| {
-                ta.predict_block(&block)
-                    .iter()
-                    .zip(&tc.predict_block(&block))
-                    .map(|(a, c)| e * c + (1.0 - e) * a)
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 /// K-arm neural learner: a shared-trunk [`MultiHeadNet`] with one scalar
@@ -547,11 +480,11 @@ impl KArmUpliftModel for KNetLearner {
             usize::from(self.n_arms),
             rng,
         );
-        let config = KArmTrainConfig {
+        let config = TrainConfig {
             epochs: self.epochs,
             batch_size: self.batch_size,
             lr: self.lr,
-            ..KArmTrainConfig::default()
+            ..TrainConfig::default()
         };
         train_arm_heads(
             &mut net,
@@ -570,15 +503,6 @@ impl KArmUpliftModel for KNetLearner {
     fn predict_uplift_matrix(&self, x: &Matrix) -> Vec<Vec<f64>> {
         let net = self.net.as_ref().expect("KNetLearner: fit before predict");
         let mus = net.predict_scalars(x);
-        mus[1..]
-            .iter()
-            .map(|mk| mk.iter().zip(&mus[0]).map(|(a, b)| a - b).collect())
-            .collect()
-    }
-
-    fn predict_uplift_matrix_block(&self, x: &Matrix) -> Vec<Vec<f64>> {
-        let net = self.net.as_ref().expect("KNetLearner: fit before predict");
-        let mus = net.predict_scalars_block(x);
         mus[1..]
             .iter()
             .map(|mk| mk.iter().zip(&mus[0]).map(|(a, b)| a - b).collect())
@@ -752,21 +676,6 @@ impl KTpm {
             .collect()
     }
 
-    /// Block-kernel twin of [`KTpm::predict_roi_matrix`].
-    ///
-    /// # Panics
-    /// Panics before [`KTpm::fit`].
-    pub fn predict_roi_matrix_block(&self, x: &Matrix) -> Vec<Vec<f64>> {
-        assert!(self.fitted, "KTpm: fit before predict");
-        let tau_r = self.revenue.predict_uplift_matrix_block(x);
-        let tau_c = self.cost.predict_uplift_matrix_block(x);
-        tau_r
-            .iter()
-            .zip(&tau_c)
-            .map(|(r, c)| safe_div(r, c, COST_FLOOR))
-            .collect()
-    }
-
     /// Serializes to tagged JSON when both components are serializable.
     pub fn to_tagged_json(&self) -> Option<Value> {
         let revenue = self.revenue.to_tagged_json()?;
@@ -883,21 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn block_path_matches_rowwise_for_ridge_learners() {
-        let (x, a, y, _) = karm_rct(800, 9);
-        let mut rng = Prng::seed_from_u64(10);
-        let mut m = KTLearner::new(BaseLearner::default_ridge(), 3);
-        m.fit(&x, &a, &y, &mut rng).unwrap();
-        let rowwise = m.predict_uplift_matrix(&x);
-        let block = m.predict_uplift_matrix_block(&x);
-        for k in 0..2 {
-            for (r, b) in rowwise[k].iter().zip(&block[k]) {
-                assert!((r - b).abs() < 1e-3, "arm {k}: {r} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn mismatched_arm_count_is_a_typed_error() {
         let (x, a, y, _) = karm_rct(200, 11);
         let mut m = KTLearner::new(BaseLearner::default_ridge(), 4);
@@ -924,13 +818,6 @@ mod tests {
         let json = tpm.to_tagged_json().unwrap();
         let back = KTpm::from_tagged_json(&json).unwrap();
         assert_eq!(back.predict_roi_matrix(&test.x), roi);
-        // Block path agrees closely with the rowwise path.
-        let block = tpm.predict_roi_matrix_block(&test.x);
-        for k in 0..3 {
-            for (r, b) in roi[k].iter().zip(&block[k]) {
-                assert!((r - b).abs() < 1e-2, "arm {k}: {r} vs {b}");
-            }
-        }
     }
 
     #[test]

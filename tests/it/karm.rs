@@ -8,9 +8,10 @@
 //!    binary golden fixtures exactly — same scores bit-for-bit, same
 //!    artifact byte-for-byte. A divergence means the K-arm path is not
 //!    a refactor but a behavior change.
-//! 2. **K-arm artifacts are stable.** One committed K = 3 fixture per
-//!    K-arm family, loaded and scored byte-for-byte, exactly like the
-//!    binary goldens in `golden.rs`.
+//! 2. **K-arm artifacts and fits are stable.** One committed K = 3
+//!    fixture per K-arm family, loaded and scored byte-for-byte, exactly
+//!    like the binary goldens in `golden.rs`; and refitting each family
+//!    reproduces its fixture byte-for-byte.
 //!
 //! Regenerate the K-arm fixtures after an *intentional* format change:
 //!
@@ -23,7 +24,7 @@ use datasets::{CriteoLike, ExperimentData, Setting, SettingSizes};
 use integration::unique_tmp;
 use linalg::random::Prng;
 use rdrp::{DrpConfig, MethodConfig, RdrpConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use uplift::NetConfig;
 
 /// The same representative families `golden.rs` pins.
@@ -219,27 +220,54 @@ fn karm_artifacts_are_versioned_and_fenced_from_the_binary_loader() {
     }
 }
 
+/// Fits `name` at K = 3 on the K-arm golden data at seed 1234, saves
+/// the artifact to `artifact`, and writes its score matrix on the golden
+/// test rows to `scores`: the recipe the committed K-arm fixtures hold.
+fn write_karm_golden(name: &str, artifact: &Path, scores: &Path) {
+    let (train, cal, test) = karm_golden_data();
+    let obs = obs::Obs::disabled();
+    let mut method = rdrp::build_karm(name, KARM_GOLDEN_ARMS, &golden_config()).expect(name);
+    let mut rng = Prng::seed_from_u64(1234);
+    method.fit(&train, &cal, &mut rng, &obs).expect(name);
+    rdrp::save_karm_method(method.as_ref(), artifact).expect(name);
+    let matrix = method.score_matrix(&test.x, &obs);
+    std::fs::write(scores, tinyjson::to_string_pretty(&matrix)).expect(name);
+}
+
+/// Refitting every K = 3 family reproduces its committed artifact and
+/// score matrix byte for byte, which pins the K-arm fits themselves (the
+/// per-arm lifted DRP, the KTPM learners and `nn::train_arm_heads`), not
+/// only loading.
+#[test]
+fn karm_k3_fit_reproduces_every_golden_fixture_byte_for_byte() {
+    for name in KARM_FAMILIES {
+        let artifact = unique_tmp(&format!("karm_k3_{name}.json"));
+        let scores = unique_tmp(&format!("karm_k3_{name}.scores.json"));
+        write_karm_golden(name, &artifact, &scores);
+        for (path, fixture) in [
+            (artifact, format!("karm-k3-{name}.json")),
+            (scores, format!("karm-k3-{name}.scores.json")),
+        ] {
+            let got = std::fs::read(&path).expect(name);
+            let want = std::fs::read(fixture_dir().join(&fixture)).expect(name);
+            assert!(
+                got == want,
+                "{name}: the refit {fixture} differs from the committed fixture"
+            );
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 #[test]
 #[ignore = "regenerates the committed K-arm golden fixtures; run only after an intentional format change"]
 fn regenerate() {
-    let (train, cal, test) = karm_golden_data();
-    let config = golden_config();
-    let obs = obs::Obs::disabled();
     std::fs::create_dir_all(fixture_dir()).unwrap();
     for name in KARM_FAMILIES {
-        let mut method = rdrp::build_karm(name, KARM_GOLDEN_ARMS, &config).expect(name);
-        let mut rng = Prng::seed_from_u64(1234);
-        method.fit(&train, &cal, &mut rng, &obs).expect(name);
-        rdrp::save_karm_method(
-            method.as_ref(),
-            fixture_dir().join(format!("karm-k3-{name}.json")),
-        )
-        .expect(name);
-        let matrix = method.score_matrix(&test.x, &obs);
-        std::fs::write(
-            fixture_dir().join(format!("karm-k3-{name}.scores.json")),
-            tinyjson::to_string_pretty(&matrix),
-        )
-        .expect(name);
+        write_karm_golden(
+            name,
+            &fixture_dir().join(format!("karm-k3-{name}.json")),
+            &fixture_dir().join(format!("karm-k3-{name}.scores.json")),
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! All ten Table-I methods run end-to-end through the shared harness.
 
-use bench::harness::{run_setting, MethodKind};
+use bench::harness::{run_setting, TABLE1, TABLE2};
 use datasets::{CriteoLike, Setting, SettingSizes};
 
 fn tiny_sizes() -> SettingSizes {
@@ -15,13 +15,7 @@ fn tiny_sizes() -> SettingSizes {
 #[test]
 fn every_table1_method_produces_a_sane_aucc() {
     let generator = CriteoLike::new();
-    let results = run_setting(
-        &generator,
-        Setting::SuNo,
-        &tiny_sizes(),
-        &MethodKind::TABLE1,
-        &[500],
-    );
+    let results = run_setting(&generator, Setting::SuNo, &tiny_sizes(), &TABLE1, &[500]);
     assert_eq!(results.len(), 10);
     for r in &results {
         assert!(
@@ -36,13 +30,7 @@ fn every_table1_method_produces_a_sane_aucc() {
 #[test]
 fn every_table2_method_produces_a_sane_aucc() {
     let generator = CriteoLike::new();
-    let results = run_setting(
-        &generator,
-        Setting::InNo,
-        &tiny_sizes(),
-        &MethodKind::TABLE2,
-        &[501],
-    );
+    let results = run_setting(&generator, Setting::InNo, &tiny_sizes(), &TABLE2, &[501]);
     assert_eq!(results.len(), 5);
     for r in &results {
         assert!(
@@ -65,12 +53,7 @@ fn direct_roi_methods_competitive_with_two_phase() {
         &generator,
         Setting::SuNo,
         &tiny_sizes(),
-        &[
-            MethodKind::TpmSl,
-            MethodKind::TpmXl,
-            MethodKind::Drp,
-            MethodKind::Rdrp,
-        ],
+        &["tpm-sl", "tpm-xl", "drp", "rdrp"],
         &[502, 503],
     );
     let find = |name: &str| {

@@ -93,11 +93,8 @@ fn one_shot_quantile_loses_coverage_under_shift_and_online_restores_it() {
 
     // The same frozen q̂ served against the shifted stream, and the
     // streaming calibrator fed the identical feedback.
-    let mut online = OnlineConformal::new(OnlineConformalConfig {
-        alpha: ALPHA,
-        ..OnlineConformalConfig::default()
-    })
-    .expect("default-shaped config");
+    let mut online = OnlineConformal::new(ALPHA, OnlineConformalConfig::default())
+        .expect("default-shaped config");
     let mut frozen_hits = 0usize;
     let mut adaptive_hits = 0usize;
     let mut adaptive_judged = 0usize;
@@ -224,6 +221,10 @@ impl RoiMethod for StubScorer {
         Some(self.qhat)
     }
 
+    fn alpha(&self) -> Option<f64> {
+        Some(ALPHA)
+    }
+
     fn with_qhat(&self, qhat: f64, _n_calibration: usize) -> Option<Box<dyn RoiMethod>> {
         Some(Box::new(StubScorer { qhat, gate: None }))
     }
@@ -249,7 +250,6 @@ fn monitor_config() -> CalibrationMonitorConfig {
         model: "m".to_string(),
         base_version: "v1".to_string(),
         online: OnlineConformalConfig {
-            alpha: ALPHA,
             window: 64,
             min_window: 10,
             gamma: 0.0,
@@ -433,4 +433,38 @@ fn hot_swap_never_rejects_in_flight_requests() {
         .submit(&new, Matrix::from_rows(&[vec![1.0, 2.0]]), None)
         .expect("queue empty");
     assert_eq!(fresh.wait(), Ok(vec![4.5]));
+}
+
+/// The monitor recalibrates at the served model's own α. A drift swap
+/// keeps that α on the model, so a window quantiled at any other level
+/// would serve intervals for a coverage the model does not report.
+#[test]
+fn monitor_calibrates_at_the_served_models_alpha() {
+    let mut config = rdrp::MethodConfig::default();
+    config.rdrp.alpha = 0.2;
+    config.rdrp.drp.epochs = 2;
+    config.rdrp.mc_passes = 5;
+    let mut rng = Prng::seed_from_u64(5);
+    let generator = CriteoLike::new();
+    let train = generator.sample(600, Population::Base, &mut rng);
+    let calibration = generator.sample(300, Population::Base, &mut rng);
+    let mut method = rdrp::build("rdrp", &config).expect("registered");
+    method
+        .fit(&train, &calibration, &mut rng, &Obs::disabled())
+        .expect("fits");
+    assert_eq!(method.alpha(), Some(0.2));
+
+    let registry = Arc::new(ModelRegistry::new());
+    registry.insert("m", "v1", Arc::from(method));
+    let monitor = CalibrationMonitor::new(
+        registry,
+        FeatureReference::from_dataset(&train).expect("non-degenerate reference"),
+        CalibrationMonitorConfig {
+            model: "m".to_string(),
+            ..CalibrationMonitorConfig::default()
+        },
+        Obs::disabled(),
+    )
+    .expect("a calibrated rDRP is registered");
+    assert_eq!(monitor.alpha(), 0.2);
 }

@@ -56,13 +56,14 @@ pub fn unique_tmp(name: &str) -> PathBuf {
 }
 
 /// `drp` artifacts, derived from the saved artifact `saved`, whose shapes
-/// are wrong in ways that parse as JSON but used to load and then panic
-/// or mis-score at scoring time: the first dense layer's bias one value
-/// short; the last dense layer's weights declared `2^63 × 2` with no data
-/// (the element count wraps to 0 unchecked); a layer list holding one
+/// or values are wrong in ways that parse as JSON but used to load and
+/// then panic or mis-score at scoring time: the first dense layer's bias
+/// one value short; the last dense layer's weights declared `2^63 × 2`
+/// with no data (the element count wraps to 0 unchecked); the last
+/// weight `"NaN"` (every score would be NaN); a layer list holding one
 /// dropout layer and no dense layer; and a scaler one feature narrower
 /// than the network. Each is re-stamped with a valid checksum, so only
-/// the shape is wrong.
+/// the content is wrong.
 pub fn malformed_drp_artifacts(saved: &str) -> Vec<(&'static str, String)> {
     fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
         match v {
@@ -108,6 +109,18 @@ pub fn malformed_drp_artifacts(saved: &str) -> Vec<(&'static str, String)> {
                     ("cols".to_string(), Value::Num(2.0)),
                     ("data".to_string(), Value::Arr(vec![])),
                 ]);
+            }),
+        ),
+        (
+            "last weight NaN",
+            edit(&|layers| {
+                let last = layers.last_mut().expect("a dense layer");
+                match field(field(field(last, "Dense"), "w"), "data") {
+                    Value::Arr(data) => {
+                        *data.last_mut().expect("a weight") = Value::Str("NaN".to_string());
+                    }
+                    other => panic!("weights: not an array: {other:?}"),
+                }
             }),
         ),
         (
