@@ -8,8 +8,9 @@
 //! are crate-private, construction funnels through
 //! [`EngineConfigBuilder::build`], and the out-of-range combinations
 //! that used to wedge an engine at runtime (zero workers, a zero-row
-//! queue, zero shards) are typed [`ConfigError`]s at build time. [`EngineConfig::default`] remains the
-//! no-thought starting point and is always valid.
+//! queue, zero shards) are typed [`ConfigError`]s at build time.
+//! [`EngineConfig::default`] remains the no-thought starting point and
+//! is always valid.
 //!
 //! The same config drives both [`ScoringEngine`](crate::ScoringEngine)
 //! (which ignores [`shards`](EngineConfig::shards)) and
