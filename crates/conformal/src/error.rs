@@ -17,6 +17,13 @@ pub enum ConformalError {
         /// The offending level.
         value: f64,
     },
+    /// An online calibrator's configuration cannot produce a quantile:
+    /// its window sizes, step size, α bounds or scale floor are
+    /// inconsistent, or its nominal α lies outside its α bounds.
+    InvalidConfig {
+        /// The first problem found.
+        reason: String,
+    },
     /// One or more nonconformity scores were NaN (a NaN truth, prediction,
     /// or scale poisons the quantile silently if let through).
     NonFiniteScores {
@@ -31,6 +38,9 @@ impl fmt::Display for ConformalError {
             ConformalError::Empty => write!(f, "empty calibration set"),
             ConformalError::InvalidAlpha { value } => {
                 write!(f, "alpha {value} is outside (0, 1)")
+            }
+            ConformalError::InvalidConfig { reason } => {
+                write!(f, "invalid calibrator configuration: {reason}")
             }
             ConformalError::NonFiniteScores { count } => {
                 write!(f, "{count} nonconformity score(s) are NaN")

@@ -135,14 +135,12 @@ impl OnlineConformal {
     /// miscoverage level `alpha` (`α₀`).
     ///
     /// # Errors
-    /// [`ConformalError::InvalidAlpha`] carrying `alpha` when `alpha` lies
-    /// outside `(0, 1)` or the configured α bounds, or the configuration
-    /// is otherwise inconsistent (structural problems use the same
-    /// variant, since they all amount to "this configuration cannot
-    /// produce a quantile").
+    /// [`ConformalError::InvalidConfig`] naming the first problem when
+    /// `alpha` lies outside `(0, 1)` or the configured α bounds, or the
+    /// configuration is otherwise inconsistent.
     pub fn new(alpha: f64, cfg: OnlineConformalConfig) -> Result<Self, ConformalError> {
-        if cfg.validate(alpha).is_some() {
-            return Err(ConformalError::InvalidAlpha { value: alpha });
+        if let Some(reason) = cfg.validate(alpha) {
+            return Err(ConformalError::InvalidConfig { reason });
         }
         let window = cfg.window;
         Ok(OnlineConformal {
@@ -668,9 +666,14 @@ mod tests {
 
     #[test]
     fn rejects_inconsistent_config() {
-        // α₀ outside (0, 1), and α₀ below the default α bounds.
+        // α₀ outside (0, 1), and α₀ below the default α bounds; the
+        // error names the problem.
         assert!(OnlineConformal::new(0.0, OnlineConformalConfig::default()).is_err());
-        assert!(OnlineConformal::new(0.005, OnlineConformalConfig::default()).is_err());
+        let err = OnlineConformal::new(0.005, OnlineConformalConfig::default()).unwrap_err();
+        assert!(
+            err.to_string().contains("must bracket alpha 0.005"),
+            "{err}"
+        );
         for cfg in [
             OnlineConformalConfig {
                 window: 0,
