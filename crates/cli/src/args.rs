@@ -393,7 +393,8 @@ pub struct ServeArgs {
     pub binary: bool,
     /// Micro-batch row cap.
     pub max_batch_rows: usize,
-    /// Micro-batch fill window.
+    /// The longest a worker holds an under-full batch while another
+    /// worker of its shard is busy.
     pub max_wait: Duration,
     /// Submission-queue capacity in rows (backpressure bound).
     pub queue_rows: usize,

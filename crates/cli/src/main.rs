@@ -127,6 +127,8 @@ fn usage() -> String {
      serve answers line-delimited JSON requests ({\"id\": ..., \"rows\": [[...]]}) on stdin, or per TCP connection with --tcp;\n\
      each connection may instead speak the length-prefixed binary protocol (sniffed from its first byte; --binary true requires it),\n\
      and --shards N spreads connections across N independent engine shards without changing any score;\n\
+     a batch is what queued while the workers were busy: --max-wait-us N (default 500) caps how long a worker holds\n\
+     an under-full batch while another worker of its shard is busy, and a lone request is scored at once;\n\
      the model file's embedded method tag picks the served model type;\n\
      with --online-calibration, feedback lines ({\"id\": ..., \"row\": [...], \"outcome\": F}) feed a rolling conformal window\n\
      and a drift detector (reference features from --reference) that hot-swaps a recalibrated artifact on drift;\n\
@@ -463,6 +465,12 @@ fn serve_cmd(a: &ServeArgs) -> Result<(), CliError> {
         let path = a.reference.as_deref().unwrap_or_default();
         let refdata = read_rct_csv(path, &csv_schema(&a.schema)).map_err(data_err)?;
         let reference = datasets::FeatureReference::from_dataset(&refdata).map_err(data_err)?;
+        // No flag sets the calibrator's fill floor or its adaptive-α
+        // clamp, so derive both from what is set: the floor never
+        // exceeds `--calibration-window`, and the clamp widens to
+        // bracket the served model's α.
+        let defaults = conformal::OnlineConformalConfig::default();
+        let alpha = registry.get(&a.name, None).and_then(|m| m.alpha());
         let monitor = CalibrationMonitor::new(
             Arc::clone(&registry),
             reference,
@@ -471,7 +479,10 @@ fn serve_cmd(a: &ServeArgs) -> Result<(), CliError> {
                 base_version: a.model_version.clone(),
                 online: conformal::OnlineConformalConfig {
                     window: a.calibration_window,
-                    ..conformal::OnlineConformalConfig::default()
+                    min_window: defaults.min_window.min(a.calibration_window),
+                    alpha_min: alpha.map_or(defaults.alpha_min, |al| al.min(defaults.alpha_min)),
+                    alpha_max: alpha.map_or(defaults.alpha_max, |al| al.max(defaults.alpha_max)),
+                    ..defaults
                 },
                 drift: datasets::DriftDetectorConfig {
                     batch_rows: a.drift_batch,

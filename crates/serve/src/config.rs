@@ -32,8 +32,8 @@ pub struct EngineConfig {
     pub(crate) shards: usize,
     /// A coalesced batch never exceeds this many rows.
     pub(crate) max_batch_rows: usize,
-    /// How long a worker holding an under-full rowwise batch waits for
-    /// more requests before scoring what it has.
+    /// The longest a worker holds an under-full rowwise batch while
+    /// another worker of its engine is busy.
     pub(crate) max_wait: Duration,
     /// Submission-queue capacity in rows — the backpressure bound.
     pub(crate) queue_rows: usize,
@@ -85,9 +85,11 @@ impl EngineConfig {
         self.max_batch_rows
     }
 
-    /// The micro-batch fill window. Measured in wall time (the queue
-    /// condvar), not the `Obs` clock. Zero disables the wait: only
-    /// requests already queued coalesce.
+    /// The longest a worker holds an under-full rowwise batch for more
+    /// requests while another worker of its engine is busy; a worker
+    /// with no busy sibling scores at once. Measured in wall time (the
+    /// queue condvar), not the `Obs` clock. Zero disables the wait:
+    /// only requests already queued coalesce.
     pub fn max_wait(&self) -> Duration {
         self.max_wait
     }
@@ -144,7 +146,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Micro-batch fill window (zero disables the wait).
+    /// The longest a worker holds an under-full batch while another
+    /// worker is busy (zero disables the wait).
     pub fn max_wait(mut self, wait: Duration) -> Self {
         self.cfg.max_wait = wait;
         self

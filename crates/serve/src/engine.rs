@@ -2,13 +2,21 @@
 //!
 //! Requests enter a bounded submission queue; a persistent pool of
 //! worker threads drains it. When the request at the head of the queue
-//! holds a [`RoiMethod::rowwise`] model, the worker coalesces
-//! consecutive same-model requests into one batch — up to
-//! [`EngineConfig::max_batch_rows`] rows, waiting at most
-//! [`EngineConfig::max_wait`] for more to arrive — so many small
-//! requests amortize into one row-chunk-parallel `scores` call.
-//! Non-rowwise models (MC-sweep scoring) are scored one request at a
-//! time, preserving bitwise determinism.
+//! holds a [`RoiMethod::rowwise`] model, the worker coalesces the
+//! consecutive same-model requests queued behind it into one batch, up
+//! to [`EngineConfig::max_batch_rows`] rows, so many small requests
+//! amortize into one row-chunk-parallel `scores` call. Batching is
+//! opportunistic: a batch is what queued while the workers were busy.
+//! A worker holds an under-full batch for more rows only while another
+//! worker of its engine is scoring, and never past
+//! [`EngineConfig::max_wait`]; a lone request on an idle engine is
+//! scored at once. Non-rowwise models (MC-sweep scoring) are scored one
+//! request at a time, preserving bitwise determinism.
+//!
+//! A poll loop serving the engine ([`crate::net`]) attaches a waker;
+//! every path that answers a request (a scored batch, a panicked batch,
+//! an expired deadline) nudges it, so the loop can block until an
+//! answer is ready instead of polling for one.
 //!
 //! Robustness:
 //!
@@ -53,7 +61,10 @@ use obs::Obs;
 use rdrp::RoiMethod;
 use std::collections::VecDeque;
 use std::fmt;
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
@@ -162,6 +173,49 @@ impl PendingScore {
     }
 }
 
+/// Wakes a poll loop blocked on this engine's answers: the write half
+/// of a socket pair whose read half the loop polls beside its sockets.
+///
+/// The loop arms the waker just before it blocks; a worker that has
+/// answered writes one byte only if it finds the waker armed, and
+/// disarms it. A loop that is busy therefore costs the workers no
+/// syscall, and a blocked loop gets one byte however many answers land.
+#[derive(Debug)]
+pub(crate) struct Waker {
+    armed: AtomicBool,
+    tx: UnixStream,
+}
+
+impl Waker {
+    /// A disarmed waker and the nonblocking read half to poll.
+    pub(crate) fn pair() -> std::io::Result<(Arc<Waker>, UnixStream)> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        let waker = Waker {
+            armed: AtomicBool::new(false),
+            tx,
+        };
+        Ok((Arc::new(waker), rx))
+    }
+
+    /// Arms the waker: the next answer writes a byte. Call it before the
+    /// last look at the answers that precedes blocking. Both sides swap
+    /// (SeqCst), so either this swap reads the last worker's disarm, and
+    /// that worker's answer is visible to the look, or the worker's swap
+    /// reads this arm and writes the byte.
+    pub(crate) fn arm(&self) {
+        self.armed.swap(true, Ordering::SeqCst);
+    }
+
+    fn wake(&self) {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            // Nonblocking: a full buffer already holds a wake-up.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+}
+
 struct Job {
     scorer: Arc<dyn RoiMethod>,
     rows: Matrix,
@@ -178,6 +232,10 @@ struct QueueState {
     recent_panics: u32,
     /// When set, the breaker is open until this clock reading.
     shed_until_ns: Option<u64>,
+    /// Workers scoring a batch right now.
+    busy: usize,
+    /// Workers holding an under-full batch for more rows.
+    filling: usize,
 }
 
 struct Shared {
@@ -194,6 +252,21 @@ struct Shared {
     /// Live worker threads. Respawns push here from worker threads, so
     /// the vec lives behind its own lock rather than on the engine.
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// The waker of the poll loop serving this engine, if any.
+    waker: RwLock<Option<Arc<Waker>>>,
+}
+
+impl Shared {
+    /// Tells the attached poll loop that an answer is ready.
+    fn wake(&self) {
+        let waker = self
+            .waker
+            .read()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(waker) = waker.as_ref() {
+            waker.wake();
+        }
+    }
 }
 
 /// The micro-batching scoring engine (see the module docs).
@@ -251,9 +324,12 @@ impl ScoringEngine {
                 shutdown: false,
                 recent_panics: 0,
                 shed_until_ns: None,
+                busy: 0,
+                filling: 0,
             }),
             cv: Condvar::new(),
             handles: Mutex::new(Vec::new()),
+            waker: RwLock::new(None),
         });
         for _ in 0..shared.cfg.workers.max(1) {
             spawn_worker(&shared);
@@ -352,6 +428,16 @@ impl ScoringEngine {
         &self.shared.cfg
     }
 
+    /// Attaches (or, with `None`, detaches) the waker of the poll loop
+    /// serving this engine.
+    pub(crate) fn set_waker(&self, waker: Option<Arc<Waker>>) {
+        *self
+            .shared
+            .waker
+            .write()
+            .unwrap_or_else(|poisoned| poisoned.into_inner()) = waker;
+    }
+
     /// Attaches (or replaces) the online calibration monitor. Scoring is
     /// untouched; the monitor only hears what [`ScoringEngine::observe`]
     /// feeds it.
@@ -431,7 +517,9 @@ fn worker_loop(shared: &Arc<Shared>) {
     let mut ws = Workspace::new();
     let mut consecutive_panics = 0u32;
     while let Some(batch) = next_batch(shared) {
-        if run_batch(shared, batch, &mut ws) {
+        let panicked = run_batch(shared, batch, &mut ws);
+        batch_done(shared);
+        if panicked {
             consecutive_panics += 1;
             let threshold = shared.cfg.supervisor.respawn_after_panics;
             if threshold > 0 && consecutive_panics >= threshold {
@@ -483,8 +571,11 @@ fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
             let mut batch = vec![first];
             if coalesce {
                 drain_matching(&mut state, shared, &mut batch, &mut batch_rows);
-                state = wait_for_fill(state, shared, &mut batch, &mut batch_rows);
+                if state.busy > 0 {
+                    state = wait_for_fill(state, shared, &mut batch, &mut batch_rows);
+                }
             }
+            state.busy += 1;
             shared
                 .obs
                 .gauge("serve.queue_depth", state.queued_rows as f64);
@@ -525,6 +616,7 @@ fn expired(job: &Job, shared: &Shared) -> bool {
     if job.deadline_ns.is_some_and(|d| d <= now) {
         shared.obs.counter("serve.rejected.deadline", 1.0);
         let _ = job.tx.send(Err(ScoreError::DeadlineExpired));
+        shared.wake();
         return true;
     }
     false
@@ -558,19 +650,19 @@ fn drain_matching(
     }
 }
 
-/// The micro-batch wait window: holds an under-full rowwise batch up to
-/// `max_wait` (wall time) so closely spaced requests coalesce.
+/// Holds an under-full rowwise batch for more requests while another
+/// worker of this engine is busy (requests arriving meanwhile would
+/// otherwise queue for the next batch), and never past `max_wait` (wall
+/// time). Returns as soon as no other worker is busy.
 fn wait_for_fill<'a>(
     mut state: MutexGuard<'a, QueueState>,
     shared: &Shared,
     batch: &mut Vec<Job>,
     batch_rows: &mut usize,
 ) -> MutexGuard<'a, QueueState> {
-    if shared.cfg.max_wait.is_zero() {
-        return state;
-    }
     let start = Instant::now();
-    while *batch_rows < shared.cfg.max_batch_rows && !state.shutdown {
+    state.filling += 1;
+    while state.busy > 0 && *batch_rows < shared.cfg.max_batch_rows && !state.shutdown {
         let Some(remaining) = shared.cfg.max_wait.checked_sub(start.elapsed()) else {
             break;
         };
@@ -584,7 +676,18 @@ fn wait_for_fill<'a>(
             break;
         }
     }
+    state.filling -= 1;
     state
+}
+
+/// Marks a worker idle after it answered its batch, and releases any
+/// worker holding a batch for fill once none is busy.
+fn batch_done(shared: &Shared) {
+    let mut state = lock(&shared.state);
+    state.busy -= 1;
+    if state.busy == 0 && state.filling > 0 {
+        shared.cv.notify_all();
+    }
 }
 
 /// Scores one batch and answers its jobs. Returns whether the scorer
@@ -645,6 +748,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, ws: &mut Workspace) -> bool {
                 }
                 offset += n;
             }
+            shared.wake();
             if shared.cfg.breaker.trip_panics > 0 {
                 lock(&shared.state).recent_panics = 0;
             }
@@ -667,6 +771,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, ws: &mut Workspace) -> bool {
             for job in &batch {
                 let _ = job.tx.send(Err(ScoreError::WorkerPanicked));
             }
+            shared.wake();
             true
         }
     }

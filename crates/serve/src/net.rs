@@ -2,12 +2,18 @@
 //! thread-per-connection.
 //!
 //! [`serve_poll`] owns a nonblocking [`TcpListener`] and a set of
-//! nonblocking accepted sockets, and drives every connection's
-//! [`Session`] from a single readiness-style loop (std::net only, house
-//! style of `par` — no epoll binding, just `WouldBlock` plus a bounded
-//! idle sleep when nothing progressed). Where the old
-//! thread-per-connection frontend pinned one OS thread per peer, the
-//! poll loop's cost per idle connection is one non-blocking `read`.
+//! nonblocking accepted sockets (`TCP_NODELAY` on, so a response leaves
+//! as soon as it is written), and drives every connection's [`Session`]
+//! from a single event-driven loop. The loop blocks in `poll(2)` on the
+//! listener, every connection it can act on, and the read half of a
+//! wake-up socket pair that the engine's workers write to after
+//! answering, so an idle server sleeps in the kernel and a ready socket
+//! or a ready answer wakes it at once. It acts only on what `poll`
+//! reported: it accepts only when the listener polled readable, reads a
+//! socket only when it polled readable (stopping at a short read), and
+//! retries a blocked write only when the socket polled writable.
+//! std::net only, house style of `par`: the one libc call std lacks,
+//! `poll`, is declared here.
 //!
 //! Each connection:
 //!
@@ -29,7 +35,8 @@
 //!   with *unflushed responses* that accepts none of them for the
 //!   timeout is disconnected even with work in flight — pending writes
 //!   are the peer's to drain, so a write stall is never the engine's
-//!   fault (the old frontend's write-timeout semantics).
+//!   fault (the old frontend's write-timeout semantics). The loop's
+//!   `poll` timeout is the nearest such deadline.
 //!
 //! Backpressure composes instead of blocking, and it is enforced at
 //! every stage, not just documented: reads and decodes interleave, and
@@ -37,11 +44,13 @@
 //! [`NetConfig::max_unflushed`] encoded bytes await the socket
 //! ([`Session::pop_ready`] pauses on the same cap). A peer that sends
 //! faster than the engine scores — or that never reads its responses —
-//! therefore stops being *read*: its bytes pile up in the kernel's
-//! socket buffers, which fill and push back on the peer via TCP flow
-//! control. Server-side memory per connection stays bounded by the
-//! window, the unflushed cap, and one readahead chunk.
+//! therefore stops being *read* (the loop stops polling it for input):
+//! its bytes pile up in the kernel's socket buffers, which fill and
+//! push back on the peer via TCP flow control. Server-side memory per
+//! connection stays bounded by the window, the unflushed cap, and one
+//! readahead chunk.
 
+use crate::engine::Waker;
 use crate::protocol::{SessionLimits, WireError};
 use crate::registry::ModelRegistry;
 use crate::session::Session;
@@ -49,13 +58,11 @@ use crate::shard::ShardedEngine;
 use crate::wire::{sniff_codec, Decoded, FrameBuf, WireCodec};
 use crate::BinaryCodec;
 use obs::Obs;
+use std::ffi::{c_int, c_short};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
-
-/// How long the loop sleeps when a full pass over listener and
-/// connections made no progress.
-const POLL_WAIT: Duration = Duration::from_micros(200);
 
 /// Poll-loop configuration.
 #[derive(Debug, Clone)]
@@ -105,6 +112,12 @@ struct Conn<'a> {
     /// remain in `buf` are untrusted and intentionally unserved.
     discarding: bool,
     last_activity: Instant,
+    /// `poll` reported input (or a hang-up or error) that no read has
+    /// consumed yet.
+    readable: bool,
+    /// The last write would have blocked; retried once `poll` reports
+    /// the socket writable.
+    write_blocked: bool,
     read_closed: bool,
     dead: bool,
 }
@@ -113,6 +126,47 @@ impl Conn<'_> {
     /// Encoded response bytes not yet accepted by the socket.
     fn unflushed(&self) -> usize {
         self.out.len() - self.written
+    }
+
+    /// The read gate: whether the connection can take more input now.
+    /// Closed while the response window is full, unflushed output
+    /// exceeds its cap, the request cap is reached, or the stream is
+    /// corrupt or closed; `buf` then holds at most the readahead of one
+    /// gated pass.
+    fn wants_input(&self, cfg: &NetConfig) -> bool {
+        !(self.read_closed
+            || self.dead
+            || self.pending_corrupt.is_some()
+            || self.session.window_full()
+            || self.session.cap_reached()
+            || self.unflushed() > cfg.max_unflushed)
+    }
+
+    /// Whether the idle timeout runs. Idleness is the *client's*: a
+    /// connection whose requests are still queued in the engine sees no
+    /// read/write progress through no fault of its own (backpressure
+    /// stops reads while the window is full), so the timeout only runs
+    /// while nothing is in flight — except when responses sit
+    /// unflushed, which means the *peer* is not reading: engine backlog
+    /// never excuses a write stall.
+    fn idle_timer_runs(&self) -> bool {
+        !self.finished() && (self.unflushed() > 0 || !self.session.has_in_flight())
+    }
+
+    /// Encodes the responses that resolved, in request order, until the
+    /// unflushed cap says the peer has stopped draining them. Makes no
+    /// syscall. Returns whether any resolved.
+    fn resolve(&mut self, cfg: &NetConfig) -> bool {
+        let Some(codec) = &self.codec else {
+            return false;
+        };
+        let mut resolved = false;
+        while self.out.len() - self.written <= cfg.max_unflushed
+            && self.session.pop_ready(codec.as_ref(), &mut self.out)
+        {
+            resolved = true;
+        }
+        resolved
     }
 
     /// Whether everything this connection will ever send has been sent.
@@ -134,10 +188,14 @@ impl Conn<'_> {
 /// [`NetConfig::max_conns`] lifetime cap is reached and every accepted
 /// connection has drained (forever when uncapped).
 ///
+/// One poll loop per engine: the loop attaches its wake-up to
+/// `engine`'s workers for as long as it runs.
+///
 /// # Errors
-/// Only setup errors (putting the listener into non-blocking mode)
-/// fail the loop; per-connection I/O errors tear down that connection
-/// and are recorded as `serve.conn_errors`.
+/// Setup errors (putting the listener into non-blocking mode, creating
+/// the wake-up socket pair) and `poll` failures end the loop;
+/// per-connection I/O errors tear down that connection and are recorded
+/// as `serve.conn_errors`.
 pub fn serve_poll(
     listener: &TcpListener,
     engine: &ShardedEngine,
@@ -147,22 +205,27 @@ pub fn serve_poll(
     obs: &Obs,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
+    let (waker, mut wake_rx) = Waker::pair()?;
+    engine.set_waker(Some(std::sync::Arc::clone(&waker)));
     let mut conns: Vec<Conn> = Vec::new();
     let mut accepted: usize = 0;
     let mut chunk = [0u8; 16 * 1024];
-    loop {
-        let mut progress = false;
-        // Accept whatever is pending, up to the lifetime cap.
-        while cfg.max_conns.is_none_or(|m| accepted < m) {
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut listener_ready = false;
+    let served = loop {
+        // Accept what the listener reported, up to the lifetime cap.
+        while listener_ready && cfg.max_conns.is_none_or(|m| accepted < m) {
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if let Err(e) = stream.set_nonblocking(true) {
+                    if let Err(e) = stream
+                        .set_nonblocking(true)
+                        .and_then(|()| stream.set_nodelay(true))
+                    {
                         obs.event("serve.conn_error", &[("error", format!("{e}").into())]);
                         continue;
                     }
                     let conn_id = accepted as u64;
                     accepted += 1;
-                    progress = true;
                     obs.counter("serve.conns", 1.0);
                     conns.push(Conn {
                         stream,
@@ -176,54 +239,106 @@ pub fn serve_poll(
                         pending_corrupt: None,
                         discarding: false,
                         last_activity: Instant::now(),
+                        readable: false,
+                        write_blocked: false,
                         read_closed: false,
                         dead: false,
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => listener_ready = false,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     obs.event("serve.accept_error", &[("error", format!("{e}").into())]);
-                    break;
+                    listener_ready = false;
                 }
             }
         }
         for conn in &mut conns {
-            progress |= tick(conn, &mut chunk, cfg, obs);
+            tick(conn, &mut chunk, cfg, obs);
             if let Some(timeout) = cfg.conn_timeout {
-                // Idleness is the *client's*: a connection whose requests
-                // are still queued in the engine sees no read/write
-                // progress through no fault of its own (backpressure
-                // stops reads while the window is full), so the timeout
-                // only runs while nothing is in flight — except when
-                // responses sit unflushed, which means the *peer* is not
-                // reading: engine backlog never excuses a write stall.
-                if !conn.finished()
-                    && (conn.unflushed() > 0 || !conn.session.has_in_flight())
-                    && conn.last_activity.elapsed() > timeout
-                {
+                if conn.idle_timer_runs() && conn.last_activity.elapsed() > timeout {
                     obs.counter("serve.slow_client_disconnects", 1.0);
                     conn.dead = true;
-                    progress = true;
                 }
             }
         }
         conns.retain(|c| !c.finished());
-        if cfg.max_conns.is_some_and(|m| accepted >= m) && conns.is_empty() {
-            return Ok(());
+        let capped = cfg.max_conns.is_some_and(|m| accepted >= m);
+        if capped && conns.is_empty() {
+            break Ok(());
         }
-        if !progress {
-            std::thread::sleep(POLL_WAIT);
+        // Arm the wake-up, then look once more: an answer that landed
+        // before the arm wrote no byte, so only this look finds it.
+        waker.arm();
+        let mut resolved = false;
+        for conn in &mut conns {
+            resolved |= conn.resolve(cfg);
         }
-    }
+        if resolved {
+            continue;
+        }
+        // Block until the listener, a connection or the engine is ready,
+        // or the nearest idle timeout is due.
+        fds.clear();
+        fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
+        fds.push(PollFd::new(
+            listener.as_raw_fd(),
+            if capped { 0 } else { POLLIN },
+        ));
+        for conn in &conns {
+            let mut events = 0;
+            if conn.wants_input(cfg) {
+                events |= POLLIN;
+            }
+            if conn.unflushed() > 0 {
+                events |= POLLOUT;
+            }
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+        }
+        let timeout = cfg.conn_timeout.and_then(|timeout| {
+            conns
+                .iter()
+                .filter(|c| c.idle_timer_runs())
+                .map(|c| timeout.saturating_sub(c.last_activity.elapsed()))
+                .min()
+        });
+        if let Err(e) = wait_ready(&mut fds, timeout) {
+            break Err(e);
+        }
+        if fds[0].revents != 0 {
+            // Drain the wake-up bytes; the answers are picked up below.
+            let mut sink = [0u8; 64];
+            while matches!(wake_rx.read(&mut sink), Ok(n) if n == sink.len()) {}
+        }
+        listener_ready = fds[1].revents != 0;
+        for (conn, fd) in conns.iter_mut().zip(&fds[2..]) {
+            conn.readable |= fd.revents & (POLLIN | POLLHUP | POLLERR) != 0;
+            if fd.revents & (POLLOUT | POLLHUP | POLLERR) != 0 {
+                conn.write_blocked = false;
+            }
+        }
+    };
+    engine.set_waker(None);
+    served
 }
 
-/// One readiness pass over a connection: read what's there, decode and
+/// Drives one connection as far as it goes without a new event.
+fn tick(conn: &mut Conn<'_>, chunk: &mut [u8], cfg: &NetConfig, obs: &Obs) {
+    let harness = chaos::ambient();
+    while step(conn, chunk, cfg, obs, &harness) {}
+}
+
+/// One pass over a connection: read what `poll` reported, decode and
 /// dispatch what's complete, collect resolved responses, flush what the
 /// socket will take. Returns whether anything progressed.
-fn tick(conn: &mut Conn<'_>, chunk: &mut [u8], cfg: &NetConfig, obs: &Obs) -> bool {
+fn step(
+    conn: &mut Conn<'_>,
+    chunk: &mut [u8],
+    cfg: &NetConfig,
+    obs: &Obs,
+    harness: &chaos::Chaos,
+) -> bool {
     let mut progress = false;
-    let harness = chaos::ambient();
     // 1. Interleave reading and decoding, one chunk at a time, so the
     //    backpressure gates are re-checked between chunks: once the
     //    response window is full or unflushed output exceeds its cap,
@@ -252,13 +367,13 @@ fn tick(conn: &mut Conn<'_>, chunk: &mut [u8], cfg: &NetConfig, obs: &Obs) -> bo
                     Decoded::Incomplete => break,
                     Decoded::Skip => {
                         progress = true;
-                        if conn_read_fault(&harness) {
+                        if conn_read_fault(harness) {
                             conn.dead = true;
                         }
                     }
                     Decoded::Frame(frame) => {
                         progress = true;
-                        if conn_read_fault(&harness) {
+                        if conn_read_fault(harness) {
                             conn.dead = true;
                         } else {
                             conn.session.accept(frame);
@@ -271,17 +386,10 @@ fn tick(conn: &mut Conn<'_>, chunk: &mut [u8], cfg: &NetConfig, obs: &Obs) -> bo
                 }
             }
         }
-        // The read gate: stop pulling bytes while the connection
-        // cannot consume them (window full, unflushed cap exceeded,
-        // request cap reached, stream corrupt or closed). `conn.buf`
-        // then holds at most the readahead of one gated pass.
-        if conn.read_closed
-            || conn.dead
-            || conn.pending_corrupt.is_some()
-            || conn.session.window_full()
-            || conn.session.cap_reached()
-            || conn.unflushed() > cfg.max_unflushed
-        {
+        // Read only what `poll` reported, and only through the read
+        // gate: stop pulling bytes while the connection cannot consume
+        // them.
+        if !conn.readable || !conn.wants_input(cfg) {
             break;
         }
         match conn.stream.read(chunk) {
@@ -296,8 +404,13 @@ fn tick(conn: &mut Conn<'_>, chunk: &mut [u8], cfg: &NetConfig, obs: &Obs) -> bo
                 conn.buf.extend(&chunk[..n]);
                 conn.last_activity = Instant::now();
                 progress = true;
+                // A short read drained the socket: wait for `poll`.
+                conn.readable = n == chunk.len();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                conn.readable = false;
+                break;
+            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
                 obs.event("serve.conn_error", &[("error", format!("{e}").into())]);
@@ -306,14 +419,9 @@ fn tick(conn: &mut Conn<'_>, chunk: &mut [u8], cfg: &NetConfig, obs: &Obs) -> bo
             }
         }
     }
+    // 2. Collect responses that resolved, in request order.
+    progress |= conn.resolve(cfg);
     if let Some(codec) = &mut conn.codec {
-        // 2. Collect responses that resolved, in request order, until
-        //    the unflushed cap says the peer has stopped draining them.
-        while conn.out.len() - conn.written <= cfg.max_unflushed
-            && conn.session.pop_ready(codec.as_ref(), &mut conn.out)
-        {
-            progress = true;
-        }
         // 3. Once in-flight work drained, answer the corruption error
         //    and treat the stream as closed.
         if !conn.session.has_in_flight() {
@@ -326,7 +434,7 @@ fn tick(conn: &mut Conn<'_>, chunk: &mut [u8], cfg: &NetConfig, obs: &Obs) -> bo
         }
     }
     // 4. Flush what the socket will take.
-    while conn.written < conn.out.len() && !conn.dead {
+    while conn.written < conn.out.len() && !conn.dead && !conn.write_blocked {
         match conn.stream.write(&conn.out[conn.written..]) {
             Ok(0) => {
                 conn.dead = true;
@@ -336,7 +444,7 @@ fn tick(conn: &mut Conn<'_>, chunk: &mut [u8], cfg: &NetConfig, obs: &Obs) -> bo
                 conn.last_activity = Instant::now();
                 progress = true;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => conn.write_blocked = true,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
                 obs.event("serve.conn_error", &[("error", format!("{e}").into())]);
@@ -361,4 +469,59 @@ fn conn_read_fault(harness: &chaos::Chaos) -> bool {
             ..
         })
     )
+}
+
+/// One `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+impl PollFd {
+    /// Watches `fd` for `events`; with no events the entry is ignored
+    /// (a negative descriptor), hang-ups and errors included.
+    fn new(fd: RawFd, events: c_short) -> PollFd {
+        PollFd {
+            fd: if events == 0 { -1 } else { fd },
+            events,
+            revents: 0,
+        }
+    }
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+const POLLERR: c_short = 0x8;
+const POLLHUP: c_short = 0x10;
+
+/// `nfds_t`: `unsigned long` on Linux, `unsigned int` on the BSDs and
+/// macOS.
+#[cfg(target_os = "linux")]
+type Nfds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+}
+
+/// Blocks until a descriptor in `fds` is ready or `timeout` passes
+/// (`None` waits forever; rounded up to whole milliseconds). The loop's
+/// only readiness source.
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<()> {
+    let ms = timeout.map_or(-1, |t| {
+        c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+    });
+    // SAFETY: `fds` is a valid, writable slice of `struct pollfd` of the
+    // length passed, borrowed for the call's duration.
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) };
+    if rc < 0 {
+        let err = std::io::Error::last_os_error();
+        if err.kind() != std::io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+    Ok(())
 }

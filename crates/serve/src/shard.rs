@@ -30,7 +30,7 @@
 
 use crate::calibration::CalibrationMonitor;
 use crate::config::EngineConfig;
-use crate::engine::{PendingScore, Rejected, ScoringEngine};
+use crate::engine::{PendingScore, Rejected, ScoringEngine, Waker};
 use linalg::Matrix;
 use obs::Obs;
 use rdrp::RoiMethod;
@@ -147,6 +147,14 @@ impl ShardedEngine {
             }
         }
         self.shard_for(conn_id).submit(scorer, rows, deadline)
+    }
+
+    /// Attaches (or, with `None`, detaches) one poll loop's waker to
+    /// every shard, so an answer from any shard wakes the loop.
+    pub(crate) fn set_waker(&self, waker: Option<Arc<Waker>>) {
+        for shard in &self.shards {
+            shard.set_waker(waker.clone());
+        }
     }
 
     /// Attaches the calibration monitor to every shard, so feedback

@@ -1,6 +1,6 @@
 //! Engine semantics: determinism against the direct inference path,
-//! backpressure, deadline expiry on a manual clock, and poisoned-worker
-//! recovery.
+//! coalescing under load and none when idle, backpressure, deadline
+//! expiry on a manual clock, and poisoned-worker recovery.
 
 use datasets::generator::{Population, RctGenerator};
 use datasets::{CriteoLike, RctDataset};
@@ -13,7 +13,7 @@ use rdrp::{DrpConfig, MethodConfig, Rdrp, RdrpConfig, RoiMethod, SCORING_SEED};
 use serve::{EngineConfig, Rejected, ScoreError, ScoringEngine};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tinyjson::Value;
 use uplift::FitError;
 
@@ -119,36 +119,6 @@ fn engine_scores_match_direct_serial_bitwise() {
     }
 }
 
-/// Rowwise requests coalesced into one batch must score exactly as they
-/// would alone — the coalescer's correctness contract.
-#[test]
-fn coalesced_rowwise_batches_are_bitwise_identical() {
-    let gen = CriteoLike::new();
-    let mut rng = Prng::seed_from_u64(10);
-    let test = gen.sample(200, Population::Base, &mut rng);
-    let scorer = fitted_drp(11);
-    let chunks = chunks_of(&test.x, &[3, 5, 17]);
-    // One worker and a generous wait window force everything submitted
-    // below into coalesced batches.
-    let engine = ScoringEngine::start(
-        EngineConfig::builder()
-            .workers(1)
-            .max_batch_rows(4096)
-            .max_wait(Duration::from_millis(5))
-            .build()
-            .unwrap(),
-        Obs::disabled(),
-    );
-    let pending: Vec<_> = chunks
-        .iter()
-        .map(|chunk| engine.submit(&scorer, chunk.clone(), None).unwrap())
-        .collect();
-    for (chunk, p) in chunks.iter().zip(pending) {
-        let expected = scorer.scores_fresh(chunk, &Obs::disabled());
-        assert_eq!(p.wait().unwrap(), expected);
-    }
-}
-
 /// A gate the test opens to release a blocked scorer — used to hold a
 /// worker busy so queue behavior is observable deterministically.
 #[derive(Debug, Default)]
@@ -213,6 +183,79 @@ impl RoiMethod for GatedScorer {
     fn body_to_json(&self) -> Value {
         Value::Null
     }
+}
+
+/// Rowwise requests coalesced into one batch must score exactly as they
+/// would alone — the coalescer's correctness contract. The only worker
+/// is held on a gated job while the chunks queue, so the batch after it
+/// holds every chunk.
+#[test]
+fn coalesced_rowwise_batches_are_bitwise_identical() {
+    let gen = CriteoLike::new();
+    let mut rng = Prng::seed_from_u64(10);
+    let test = gen.sample(200, Population::Base, &mut rng);
+    let scorer = fitted_drp(11);
+    let chunks = chunks_of(&test.x, &[3, 5, 17]);
+    let gate = Arc::new(Gate::default());
+    let gated: Arc<dyn RoiMethod> = Arc::new(GatedScorer {
+        gate: Arc::clone(&gate),
+    });
+    let (obs, recorder) = Obs::in_memory();
+    let engine = ScoringEngine::start(
+        EngineConfig::builder()
+            .workers(1)
+            .max_batch_rows(4096)
+            .build()
+            .unwrap(),
+        obs,
+    );
+    let blocked = engine
+        .submit(&gated, Matrix::from_rows(&[vec![1.0, 2.0]]), None)
+        .unwrap();
+    // Wait until the worker has dequeued the gated job (queue-depth
+    // gauge back to zero), so every chunk queues behind it.
+    while recorder.gauge_value("serve.queue_depth") != Some(0.0) {
+        std::thread::yield_now();
+    }
+    let pending: Vec<_> = chunks
+        .iter()
+        .map(|chunk| engine.submit(&scorer, chunk.clone(), None).unwrap())
+        .collect();
+    gate.open();
+    assert_eq!(blocked.wait().unwrap(), vec![3.0]);
+    for (chunk, p) in chunks.iter().zip(pending) {
+        let expected = scorer.scores_fresh(chunk, &Obs::disabled());
+        assert_eq!(p.wait().unwrap(), expected);
+    }
+    // Two batches: the gated job, then one holding every chunk.
+    let batches = recorder.histogram("serve.batch_requests").unwrap();
+    assert_eq!(batches.count(), 2);
+    assert_eq!(batches.max(), Some(chunks.len() as f64));
+}
+
+/// A lone rowwise request on an idle engine is scored at once: a worker
+/// holds a batch for fill only while another worker is busy, so a 2 s
+/// `max_wait` costs a one-worker engine nothing.
+#[test]
+fn lone_rowwise_request_is_scored_without_waiting_for_fill() {
+    let scorer = fitted_drp(12);
+    let row = Matrix::from_rows(&[vec![0.5; scorer.n_features().unwrap()]]);
+    let engine = ScoringEngine::start(
+        EngineConfig::builder()
+            .workers(1)
+            .max_wait(Duration::from_secs(2))
+            .build()
+            .unwrap(),
+        Obs::disabled(),
+    );
+    let start = Instant::now();
+    let scores = engine.submit(&scorer, row.clone(), None).unwrap().wait();
+    let elapsed = start.elapsed();
+    assert_eq!(scores.unwrap(), scorer.scores_fresh(&row, &Obs::disabled()));
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a lone request waited {elapsed:?}"
+    );
 }
 
 #[test]

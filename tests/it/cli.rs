@@ -4,8 +4,9 @@
 //! calibration *degraded* but still produced a usable model.
 
 use integration::{malformed_drp_artifacts, unique_tmp};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// Locates the `rdrp-cli` binary relative to this test executable.
 ///
@@ -215,6 +216,90 @@ fn malformed_artifact_exits_3_instead_of_panicking() {
     for f in [csv, model, scores] {
         let _ = std::fs::remove_file(f);
     }
+}
+
+/// Trains an rDRP model on a small trainable CSV, then serves it over
+/// stdin with online calibration (that CSV as the drift reference) and
+/// sends one feedback line. Returns the serve process's output.
+fn serve_one_feedback_line(name: &str, train_flags: &[&str], serve_flags: &[&str]) -> Output {
+    let csv = unique_tmp(&format!("{name}_train.csv"))
+        .display()
+        .to_string();
+    let model = unique_tmp(&format!("{name}_model.json"))
+        .display()
+        .to_string();
+    write_trainable_csv(&csv, 400, false);
+    let mut train = vec![
+        "train",
+        "--train",
+        &csv,
+        "--calibration",
+        &csv,
+        "--model",
+        &model,
+        "--epochs",
+        "2",
+        "--mc-passes",
+        "5",
+    ];
+    train.extend_from_slice(train_flags);
+    let out = run_cli(&train);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", text(&out.stderr));
+    let mut serve = vec![
+        "serve",
+        "--model",
+        &model,
+        "--online-calibration",
+        "true",
+        "--reference",
+        &csv,
+    ];
+    serve.extend_from_slice(serve_flags);
+    let mut child = Command::new(cli_binary())
+        .args(&serve)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rdrp-cli serve");
+    // Dropping stdin after the line closes it: the server drains and exits.
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(b"{\"id\": \"f1\", \"row\": [0.3], \"outcome\": 1.0}\n")
+        .expect("send the feedback line");
+    let out = child.wait_with_output().expect("serve exits");
+    for f in [csv, model] {
+        let _ = std::fs::remove_file(f);
+    }
+    out
+}
+
+/// `--calibration-window` below the calibrator's default fill floor
+/// (30) starts the monitor instead of failing its configuration.
+#[test]
+fn online_calibration_starts_with_a_window_below_the_default_floor() {
+    let out = serve_one_feedback_line("short_window", &[], &["--calibration-window", "10"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", text(&out.stderr));
+    assert!(
+        text(&out.stdout).starts_with("{\"id\":\"f1\",\"observed\":"),
+        "stdout: {}",
+        text(&out.stdout)
+    );
+}
+
+/// A model trained at α = 0.4, above the default adaptive-α clamp
+/// [0.01, 0.3], is served with online calibration at its own α.
+#[test]
+fn online_calibration_starts_for_a_model_above_the_default_alpha_clamp() {
+    let out = serve_one_feedback_line("alpha_04", &["--alpha", "0.4"], &[]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", text(&out.stderr));
+    assert!(
+        text(&out.stdout).starts_with("{\"id\":\"f1\",\"observed\":"),
+        "stdout: {}",
+        text(&out.stdout)
+    );
 }
 
 fn text(bytes: &[u8]) -> String {

@@ -13,7 +13,9 @@
 //!   single engine or any shard of a 1/2/8-way [`ShardedEngine`] —
 //!   sharding is a throughput knob, never a numerics knob;
 //! * the poll-loop TCP frontend serves JSONL and binary connections on
-//!   the same port, negotiated from the first byte;
+//!   the same port, negotiated from the first byte, answers a lone
+//!   request without waiting out the fill window, and times out a
+//!   silent peer;
 //! * chaos-wedging one shard's workers leaves its neighbors serving
 //!   (per-shard `shard{i}.worker_batch` injection points).
 
@@ -32,7 +34,7 @@ use serve::{
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serializes every `ShardedEngine` construction in this file: the
 /// `RDRP_SHARD_PIN` env var is read at construction, and tests must not
@@ -409,6 +411,23 @@ fn binary_session_scores_and_rejects_like_jsonl() {
 // Poll-loop TCP frontend: both codecs on one port.
 // ---------------------------------------------------------------------
 
+/// Serves `listener` from a thread until `net.max_conns` connections
+/// have drained; the handle yields `serve_poll`'s result.
+fn spawn_poll_server(
+    listener: TcpListener,
+    engine: &Arc<ShardedEngine>,
+    registry: &Arc<ModelRegistry>,
+    limits: SessionLimits,
+    net: NetConfig,
+    obs: Obs,
+) -> std::thread::JoinHandle<std::io::Result<()>> {
+    let engine = Arc::clone(engine);
+    let registry = Arc::clone(registry);
+    std::thread::spawn(move || {
+        serve::serve_poll(&listener, &engine, &registry, &limits, &net, &obs)
+    })
+}
+
 #[test]
 fn poll_server_negotiates_jsonl_and_binary_on_one_port() {
     let _guard = ENV_LOCK.lock().unwrap();
@@ -417,24 +436,18 @@ fn poll_server_negotiates_jsonl_and_binary_on_one_port() {
     registry.insert(DEFAULT_MODEL, "1", row_sum_scorer(3));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let server = {
-        let engine = Arc::clone(&engine);
-        let registry = Arc::clone(&registry);
-        std::thread::spawn(move || {
-            serve::serve_poll(
-                &listener,
-                &engine,
-                &registry,
-                &SessionLimits::default(),
-                &NetConfig {
-                    max_conns: Some(2),
-                    conn_timeout: Some(Duration::from_secs(10)),
-                    ..NetConfig::default()
-                },
-                &Obs::disabled(),
-            )
-        })
-    };
+    let server = spawn_poll_server(
+        listener,
+        &engine,
+        &registry,
+        SessionLimits::default(),
+        NetConfig {
+            max_conns: Some(2),
+            conn_timeout: Some(Duration::from_secs(10)),
+            ..NetConfig::default()
+        },
+        Obs::disabled(),
+    );
 
     // Connection 1: JSONL.
     {
@@ -489,6 +502,98 @@ fn poll_server_negotiates_jsonl_and_binary_on_one_port() {
         .expect("clean poll-loop exit");
 }
 
+/// A lone request is answered at once even with a 2 s `max_wait`: a
+/// one-worker shard has no busy sibling to hold a batch for, and the
+/// poll loop blocks on the engine's wake-up instead of sleeping.
+#[test]
+fn poll_server_answers_a_lone_request_without_waiting_for_fill() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let config = EngineConfig::builder()
+        .workers(1)
+        .max_wait(Duration::from_secs(2))
+        .build()
+        .expect("valid test config");
+    let engine = Arc::new(ShardedEngine::start(config, Obs::disabled()));
+    let registry = Arc::new(ModelRegistry::new());
+    registry.insert(DEFAULT_MODEL, "1", row_sum_scorer(3));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = spawn_poll_server(
+        listener,
+        &engine,
+        &registry,
+        SessionLimits::default(),
+        NetConfig {
+            max_conns: Some(1),
+            conn_timeout: Some(Duration::from_secs(10)),
+            ..NetConfig::default()
+        },
+        Obs::disabled(),
+    );
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let start = Instant::now();
+    stream
+        .write_all(b"{\"id\": \"lone\", \"rows\": [[1, 2, 3]]}\n")
+        .expect("send");
+    let mut line = String::new();
+    BufReader::new(&stream).read_line(&mut line).expect("read");
+    let elapsed = start.elapsed();
+    assert_eq!(line, "{\"id\":\"lone\",\"scores\":[6]}\n");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a lone request took {elapsed:?}"
+    );
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean poll-loop exit");
+}
+
+/// A peer that connects and never sends is disconnected after
+/// `conn_timeout`, though none of the loop's descriptors ever turns
+/// ready: the loop's `poll` timeout is the nearest idle deadline.
+#[test]
+fn poll_server_disconnects_a_silent_client_after_conn_timeout() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let engine = Arc::new(ShardedEngine::start(serial_config(1), Obs::disabled()));
+    let registry = Arc::new(ModelRegistry::new());
+    registry.insert(DEFAULT_MODEL, "1", row_sum_scorer(3));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (obs, recorder) = Obs::in_memory();
+    let server = spawn_poll_server(
+        listener,
+        &engine,
+        &registry,
+        SessionLimits::default(),
+        NetConfig {
+            max_conns: Some(1),
+            conn_timeout: Some(Duration::from_millis(100)),
+            ..NetConfig::default()
+        },
+        obs,
+    );
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut byte = [0u8; 1];
+    let read = stream
+        .read(&mut byte)
+        .expect("the server closes, not stalls");
+    assert_eq!(read, 0, "a silent client got bytes");
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean poll-loop exit");
+    assert_eq!(recorder.counter_value("serve.slow_client_disconnects"), 1.0);
+}
+
 /// Regression: a client that writes a deep backlog and half-closes must
 /// get every response. Backpressure pauses decoding while the response
 /// window is full, so at EOF the server still holds undecoded requests
@@ -503,24 +608,18 @@ fn poll_server_serves_backlog_written_before_half_close() {
     registry.insert(DEFAULT_MODEL, "1", row_sum_scorer(3));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let server = {
-        let engine = Arc::clone(&engine);
-        let registry = Arc::clone(&registry);
-        std::thread::spawn(move || {
-            serve::serve_poll(
-                &listener,
-                &engine,
-                &registry,
-                &SessionLimits::default(),
-                &NetConfig {
-                    max_conns: Some(1),
-                    conn_timeout: Some(Duration::from_secs(10)),
-                    ..NetConfig::default()
-                },
-                &Obs::disabled(),
-            )
-        })
-    };
+    let server = spawn_poll_server(
+        listener,
+        &engine,
+        &registry,
+        SessionLimits::default(),
+        NetConfig {
+            max_conns: Some(1),
+            conn_timeout: Some(Duration::from_secs(10)),
+            ..NetConfig::default()
+        },
+        Obs::disabled(),
+    );
 
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut wire = Vec::new();
@@ -584,25 +683,19 @@ fn poll_server_pushes_back_on_firehose_client_that_never_reads() {
     registry.insert(DEFAULT_MODEL, "1", row_sum_scorer(1));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let server = {
-        let engine = Arc::clone(&engine);
-        let registry = Arc::clone(&registry);
-        std::thread::spawn(move || {
-            serve::serve_poll(
-                &listener,
-                &engine,
-                &registry,
-                &SessionLimits::with_window(2),
-                &NetConfig {
-                    max_conns: Some(1),
-                    conn_timeout: Some(Duration::from_millis(300)),
-                    max_unflushed: 1024,
-                    ..NetConfig::default()
-                },
-                &Obs::disabled(),
-            )
-        })
-    };
+    let server = spawn_poll_server(
+        listener,
+        &engine,
+        &registry,
+        SessionLimits::with_window(2),
+        NetConfig {
+            max_conns: Some(1),
+            conn_timeout: Some(Duration::from_millis(300)),
+            max_unflushed: 1024,
+            ..NetConfig::default()
+        },
+        Obs::disabled(),
+    );
 
     // ~64 MiB of pipelined requests — far more than the kernel socket
     // buffers on both ends can absorb, so if the server stops reading,
