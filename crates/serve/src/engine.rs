@@ -55,16 +55,14 @@
 
 use crate::calibration::{CalibrationMonitor, FeedbackOutcome, MonitorError};
 use crate::config::EngineConfig;
+use crate::net::Waker;
 use linalg::Matrix;
 use nn::Workspace;
 use obs::Obs;
 use rdrp::RoiMethod;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
-use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
@@ -169,49 +167,6 @@ impl PendingScore {
             Ok(result) => Some(result),
             Err(mpsc::TryRecvError::Empty) => None,
             Err(mpsc::TryRecvError::Disconnected) => Some(Err(ScoreError::EngineShutDown)),
-        }
-    }
-}
-
-/// Wakes a poll loop blocked on this engine's answers: the write half
-/// of a socket pair whose read half the loop polls beside its sockets.
-///
-/// The loop arms the waker just before it blocks; a worker that has
-/// answered writes one byte only if it finds the waker armed, and
-/// disarms it. A loop that is busy therefore costs the workers no
-/// syscall, and a blocked loop gets one byte however many answers land.
-#[derive(Debug)]
-pub(crate) struct Waker {
-    armed: AtomicBool,
-    tx: UnixStream,
-}
-
-impl Waker {
-    /// A disarmed waker and the nonblocking read half to poll.
-    pub(crate) fn pair() -> std::io::Result<(Arc<Waker>, UnixStream)> {
-        let (tx, rx) = UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        let waker = Waker {
-            armed: AtomicBool::new(false),
-            tx,
-        };
-        Ok((Arc::new(waker), rx))
-    }
-
-    /// Arms the waker: the next answer writes a byte. Call it before the
-    /// last look at the answers that precedes blocking. Both sides swap
-    /// (SeqCst), so either this swap reads the last worker's disarm, and
-    /// that worker's answer is visible to the look, or the worker's swap
-    /// reads this arm and writes the byte.
-    pub(crate) fn arm(&self) {
-        self.armed.swap(true, Ordering::SeqCst);
-    }
-
-    fn wake(&self) {
-        if self.armed.swap(false, Ordering::SeqCst) {
-            // Nonblocking: a full buffer already holds a wake-up.
-            let _ = (&self.tx).write(&[1]);
         }
     }
 }

@@ -5,15 +5,15 @@
 //! nonblocking accepted sockets (`TCP_NODELAY` on, so a response leaves
 //! as soon as it is written), and drives every connection's [`Session`]
 //! from a single event-driven loop. The loop blocks in `poll(2)` on the
-//! listener, every connection it can act on, and the read half of a
-//! wake-up socket pair that the engine's workers write to after
-//! answering, so an idle server sleeps in the kernel and a ready socket
-//! or a ready answer wakes it at once. It acts only on what `poll`
-//! reported: it accepts only when the listener polled readable, reads a
-//! socket only when it polled readable (stopping at a short read), and
-//! retries a blocked write only when the socket polled writable.
-//! std::net only, house style of `par`: the one libc call std lacks,
-//! `poll`, is declared here.
+//! listener, every connection it can act on, and a waker — an
+//! `eventfd(2)` counter the engine's workers bump after answering — so
+//! an idle server sleeps in the kernel and a ready socket or a ready
+//! answer wakes it at once. It acts only on what `poll` reported: it
+//! accepts only when the listener polled readable, reads a socket only
+//! when it polled readable (stopping at a short read), and retries a
+//! blocked write only when the socket polled writable. std only, house
+//! style of `par`: the two libc calls std lacks, `poll` and `eventfd`,
+//! are declared here.
 //!
 //! Each connection:
 //!
@@ -50,7 +50,6 @@
 //! connection stays bounded by the window, the unflushed cap, and one
 //! readahead chunk.
 
-use crate::engine::Waker;
 use crate::protocol::{SessionLimits, WireError};
 use crate::registry::ModelRegistry;
 use crate::session::Session;
@@ -58,10 +57,13 @@ use crate::shard::ShardedEngine;
 use crate::wire::{sniff_codec, Decoded, FrameBuf, WireCodec};
 use crate::BinaryCodec;
 use obs::Obs;
-use std::ffi::{c_int, c_short};
+use std::ffi::{c_int, c_short, c_uint};
+use std::fs::File;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::{AsRawFd, FromRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Poll-loop configuration.
@@ -193,9 +195,9 @@ impl Conn<'_> {
 ///
 /// # Errors
 /// Setup errors (putting the listener into non-blocking mode, creating
-/// the wake-up socket pair) and `poll` failures end the loop;
+/// the wake-up counter) and `poll` failures end the loop;
 /// per-connection I/O errors tear down that connection and are recorded
-/// as `serve.conn_errors`.
+/// as `serve.conn_error` events.
 pub fn serve_poll(
     listener: &TcpListener,
     engine: &ShardedEngine,
@@ -205,8 +207,8 @@ pub fn serve_poll(
     obs: &Obs,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    let (waker, mut wake_rx) = Waker::pair()?;
-    engine.set_waker(Some(std::sync::Arc::clone(&waker)));
+    let waker = Arc::new(Waker::new()?);
+    engine.set_waker(Some(Arc::clone(&waker)));
     let mut conns: Vec<Conn> = Vec::new();
     let mut accepted: usize = 0;
     let mut chunk = [0u8; 16 * 1024];
@@ -280,7 +282,7 @@ pub fn serve_poll(
         // Block until the listener, a connection or the engine is ready,
         // or the nearest idle timeout is due.
         fds.clear();
-        fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
+        fds.push(PollFd::new(waker.fd.as_raw_fd(), POLLIN));
         fds.push(PollFd::new(
             listener.as_raw_fd(),
             if capped { 0 } else { POLLIN },
@@ -306,9 +308,8 @@ pub fn serve_poll(
             break Err(e);
         }
         if fds[0].revents != 0 {
-            // Drain the wake-up bytes; the answers are picked up below.
-            let mut sink = [0u8; 64];
-            while matches!(wake_rx.read(&mut sink), Ok(n) if n == sink.len()) {}
+            // The answers themselves are picked up by the next pass.
+            waker.clear();
         }
         listener_ready = fds[1].revents != 0;
         for (conn, fd) in conns.iter_mut().zip(&fds[2..]) {
@@ -471,6 +472,60 @@ fn conn_read_fault(harness: &chaos::Chaos) -> bool {
     )
 }
 
+/// Wakes the poll loop blocked on an engine's answers: an `eventfd(2)`
+/// counter the loop polls beside its sockets.
+///
+/// The loop arms the waker just before it blocks; a worker that has
+/// answered bumps the counter only if it finds the waker armed, and
+/// disarms it. A loop that is busy therefore costs the workers no
+/// syscall, and a blocked loop is woken once however many answers land.
+#[derive(Debug)]
+pub(crate) struct Waker {
+    armed: AtomicBool,
+    fd: File,
+}
+
+impl Waker {
+    /// A disarmed waker.
+    fn new() -> std::io::Result<Waker> {
+        // SAFETY: eventfd takes two integers and touches no memory.
+        let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
+        if fd < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is a fresh, open descriptor that nothing else
+        // owns, so the `File` may close it.
+        let fd = unsafe { File::from_raw_fd(fd) };
+        Ok(Waker {
+            armed: AtomicBool::new(false),
+            fd,
+        })
+    }
+
+    /// Arms the waker: the next answer bumps the counter. Call it before
+    /// the last look at the answers that precedes blocking. Both sides
+    /// swap (SeqCst), so either this swap reads the last worker's
+    /// disarm, and that worker's answer is visible to the look, or the
+    /// worker's swap reads this arm and bumps the counter.
+    fn arm(&self) {
+        self.armed.swap(true, Ordering::SeqCst);
+    }
+
+    /// Called by a worker after it answered: wakes the loop if armed.
+    pub(crate) fn wake(&self) {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            // Nonblocking: a saturated counter already holds a wake-up.
+            let _ = (&self.fd).write(&1u64.to_ne_bytes());
+        }
+    }
+
+    /// Resets the counter once `poll` reported it readable.
+    fn clear(&self) {
+        let mut count = [0u8; 8];
+        let _ = (&self.fd).read(&mut count);
+    }
+}
+
 /// One `struct pollfd`.
 #[repr(C)]
 struct PollFd {
@@ -495,16 +550,13 @@ const POLLIN: c_short = 0x1;
 const POLLOUT: c_short = 0x4;
 const POLLERR: c_short = 0x8;
 const POLLHUP: c_short = 0x10;
-
-/// `nfds_t`: `unsigned long` on Linux, `unsigned int` on the BSDs and
-/// macOS.
-#[cfg(target_os = "linux")]
-type Nfds = std::ffi::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type Nfds = std::ffi::c_uint;
+const EFD_NONBLOCK: c_int = 0o4000;
+const EFD_CLOEXEC: c_int = 0o2_000_000;
 
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    /// `nfds_t` is `unsigned long` on Linux.
+    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: c_int) -> c_int;
+    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
 }
 
 /// Blocks until a descriptor in `fds` is ready or `timeout` passes
@@ -516,7 +568,7 @@ fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<
     });
     // SAFETY: `fds` is a valid, writable slice of `struct pollfd` of the
     // length passed, borrowed for the call's duration.
-    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) };
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, ms) };
     if rc < 0 {
         let err = std::io::Error::last_os_error();
         if err.kind() != std::io::ErrorKind::Interrupted {

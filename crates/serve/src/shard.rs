@@ -30,7 +30,8 @@
 
 use crate::calibration::CalibrationMonitor;
 use crate::config::EngineConfig;
-use crate::engine::{PendingScore, Rejected, ScoringEngine, Waker};
+use crate::engine::{PendingScore, Rejected, ScoringEngine};
+use crate::net::Waker;
 use linalg::Matrix;
 use obs::Obs;
 use rdrp::RoiMethod;
