@@ -270,7 +270,7 @@ pub fn serve_poll(
             break Ok(());
         }
         // Arm the wake-up, then look once more: an answer that landed
-        // before the arm wrote no byte, so only this look finds it.
+        // before the arm woke nothing, so only this look finds it.
         waker.arm();
         let mut resolved = false;
         for conn in &mut conns {
