@@ -629,6 +629,44 @@ mod tests {
         assert_eq!(parallel, serial);
     }
 
+    /// This thread's `read` syscall count (`syscr` in
+    /// `/proc/thread-self/io`).
+    #[cfg(target_os = "linux")]
+    fn thread_reads() -> u64 {
+        let io = std::fs::read_to_string("/proc/thread-self/io").unwrap();
+        io.lines()
+            .find_map(|l| l.strip_prefix("syscr:"))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn small_batch_scoring_makes_no_read_syscall() {
+        // DRP's shape: 12 features -> 64 ELU -> dropout -> 1.
+        let mut rng = Prng::seed_from_u64(31);
+        let m = Mlp::builder(12)
+            .dense(64, Activation::Elu)
+            .dropout(0.1)
+            .dense(1, Activation::Identity)
+            .build(&mut rng);
+        let x = Matrix::from_vec(8, 12, rng.gaussian_vec(8 * 12));
+        let mut ws = Workspace::new();
+        let obs = obs::Obs::disabled();
+        let want = m.predict_scalar_with(&x, &mut ws, &obs);
+        let before = thread_reads();
+        let empty = thread_reads() - before;
+        let before = thread_reads();
+        for _ in 0..200 {
+            assert_eq!(m.predict_scalar_with(&x, &mut ws, &obs), want);
+        }
+        let rose = thread_reads() - before;
+        assert!(
+            rose <= empty,
+            "200 scores of 8 rows made {rose} reads; an empty bracket makes {empty}"
+        );
+    }
+
     #[test]
     fn block_path_tracks_scalar_reference() {
         let mut rng = Prng::seed_from_u64(11);

@@ -5,14 +5,30 @@
 //! only on that item (per-worker scratch state is fully overwritten before
 //! use), output is bitwise-identical regardless of the worker count —
 //! including the single-threaded fallback.
+//!
+//! The CPU count that sets the worker count is read once per process
+//! (see [`workers_for`]); after that, a call into this crate makes a
+//! syscall only when it spawns threads.
 
-/// Number of workers to use for a task of `n` independent items.
+use std::sync::OnceLock;
+
+/// Number of workers to use for a task of `n` independent items: the
+/// CPU count, capped at `n`, and at least 1.
+///
+/// The CPU count is `available_parallelism()` at the first call; every
+/// later call reuses it, because asking makes several syscalls (the
+/// affinity mask, and file reads for the cgroup CPU quota) that cost
+/// more than a small batch's arithmetic. A process whose CPU affinity or
+/// cgroup quota changes after that first call keeps splitting work by
+/// the first count. The count only sets the chunking, never a result.
 pub fn workers_for(n: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n)
-        .max(1)
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    let cpus = *CPUS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    });
+    cpus.min(n).max(1)
 }
 
 /// Maps `items` to results in parallel, in input order, giving each worker
@@ -136,6 +152,34 @@ mod tests {
             .map(|&i| (0..8).map(|k| (i + k) as f64).sum())
             .collect();
         assert_eq!(got, want);
+    }
+
+    /// This thread's `read` syscall count (`syscr` in
+    /// `/proc/thread-self/io`).
+    #[cfg(target_os = "linux")]
+    fn thread_reads() -> u64 {
+        let io = std::fs::read_to_string("/proc/thread-self/io").unwrap();
+        io.lines()
+            .find_map(|l| l.strip_prefix("syscr:"))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn workers_for_reads_the_cpu_count_once() {
+        let cpus = workers_for(usize::MAX);
+        let before = thread_reads();
+        let empty = thread_reads() - before;
+        let before = thread_reads();
+        for n in 0..1000 {
+            assert_eq!(workers_for(n), cpus.min(n).max(1));
+        }
+        let rose = thread_reads() - before;
+        assert!(
+            rose <= empty,
+            "1000 calls made {rose} reads; an empty bracket makes {empty}"
+        );
     }
 
     #[test]

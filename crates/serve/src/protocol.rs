@@ -35,7 +35,7 @@
 use crate::calibration::MonitorError;
 use crate::engine::{Rejected, ScoreError};
 use linalg::Matrix;
-use tinyjson::{json, JsonError};
+use tinyjson::json;
 
 /// One scoring request, as parsed off the wire.
 #[derive(Debug, Clone)]
@@ -95,15 +95,6 @@ tinyjson::json_struct!(ObserveRequest {
     scale,
     outcome
 });
-
-/// Parses one request line.
-///
-/// # Errors
-/// [`JsonError`] when the line is not a JSON object of the request
-/// shape.
-pub fn parse_request(line: &str) -> Result<ScoreRequest, JsonError> {
-    tinyjson::from_str(line)
-}
 
 /// Renders the success response line for `id`.
 pub fn render_scores(id: &str, scores: &[f64]) -> String {

@@ -27,9 +27,9 @@
 use crate::binary::{BinaryCodec, MAGIC};
 use crate::calibration::FeedbackOutcome;
 use crate::protocol::{
-    parse_request, render_error, render_observed, render_scores, ObserveRequest, ScoreRequest,
-    WireError,
+    render_error, render_observed, render_scores, ObserveRequest, ScoreRequest, WireError,
 };
+use tinyjson::FromJson;
 
 /// Growable byte buffer a transport fills and a codec drains.
 ///
@@ -212,35 +212,38 @@ impl WireCodec for JsonlCodec {
 /// from scoring lines by a non-null `"outcome"` key; parse failures
 /// salvage the id when the object parsed far enough to have one.
 fn parse_line(line: &str) -> Frame {
-    let parsed = tinyjson::parse(line).ok();
+    let value = match tinyjson::parse(line) {
+        Ok(value) => value,
+        Err(e) => {
+            return Frame::Malformed {
+                id: String::new(),
+                error: WireError::new("bad_request", format!("bad request: {e}")),
+            }
+        }
+    };
+    // Salvage the id when the object parsed but a field didn't.
     let salvage_id = || {
-        parsed
-            .as_ref()
-            .and_then(|v| {
-                v.get("id")
-                    .and_then(|id| id.as_str().ok().map(String::from))
-            })
+        value
+            .get("id")
+            .and_then(|id| id.as_str().ok().map(String::from))
             .unwrap_or_default()
     };
-    if parsed
-        .as_ref()
-        .is_some_and(|v| !matches!(v.get("outcome"), Some(tinyjson::Value::Null) | None))
-    {
-        return match tinyjson::from_str::<ObserveRequest>(line) {
+    if matches!(value.get("outcome"), Some(tinyjson::Value::Null) | None) {
+        match ScoreRequest::from_json(&value) {
+            Ok(req) => Frame::Score(req),
+            Err(e) => Frame::Malformed {
+                id: salvage_id(),
+                error: WireError::new("bad_request", format!("bad request: {e}")),
+            },
+        }
+    } else {
+        match ObserveRequest::from_json(&value) {
             Ok(req) => Frame::Observe(req),
             Err(e) => Frame::Malformed {
                 id: salvage_id(),
                 error: WireError::new("bad_observe", format!("bad observe request: {e}")),
             },
-        };
-    }
-    match parse_request(line) {
-        Ok(req) => Frame::Score(req),
-        Err(e) => Frame::Malformed {
-            // Salvage the id when the object parsed but a field didn't.
-            id: salvage_id(),
-            error: WireError::new("bad_request", format!("bad request: {e}")),
-        },
+        }
     }
 }
 
@@ -283,15 +286,49 @@ mod tests {
 
     #[test]
     fn jsonl_malformed_line_salvages_id() {
-        let mut codec = JsonlCodec::new();
-        let mut buf = FrameBuf::new();
-        buf.extend(b"{\"id\":\"r2\",\"rows\":\"nope\"}\n");
-        match codec.decode_frame(&mut buf) {
-            Decoded::Frame(Frame::Malformed { id, error }) => {
-                assert_eq!(id, "r2");
-                assert_eq!(error.code, "bad_request");
+        // Each line, the id its answer carries, and the code and message
+        // of the error it answers (`None`: it decodes as a score request).
+        let cases = [
+            (
+                "not json",
+                "",
+                Some((
+                    "bad_request",
+                    "bad request: json error: expected 'null' at byte 0",
+                )),
+            ),
+            (
+                r#"{"id":"r2","rows":"nope"}"#,
+                "r2",
+                Some((
+                    "bad_request",
+                    r#"bad request: json error: ScoreRequest.rows: json error: expected array, got Str("nope")"#,
+                )),
+            ),
+            (
+                r#"{"id":"f1","row":"nope","outcome":0.5}"#,
+                "f1",
+                Some((
+                    "bad_observe",
+                    r#"bad observe request: json error: ObserveRequest.row: json error: expected array, got Str("nope")"#,
+                )),
+            ),
+            (r#"{"id":"n1","rows":[[1]],"outcome":null}"#, "n1", None),
+        ];
+        for (line, want_id, want_error) in cases {
+            let mut codec = JsonlCodec::new();
+            let mut buf = FrameBuf::new();
+            buf.extend(line.as_bytes());
+            buf.extend(b"\n");
+            match (codec.decode_frame(&mut buf), want_error) {
+                (Decoded::Frame(Frame::Malformed { id, error }), Some((code, message))) => {
+                    assert_eq!(id, want_id, "{line}");
+                    assert_eq!(error.code, code, "{line}");
+                    assert_eq!(error.message, message, "{line}");
+                }
+                (Decoded::Frame(Frame::Score(req)), None) => assert_eq!(req.id, want_id, "{line}"),
+                (other, _) => panic!("{line}: unexpected {other:?}"),
             }
-            other => panic!("expected malformed frame, got {other:?}"),
         }
     }
 

@@ -7,7 +7,7 @@ use linalg::random::Prng;
 use linalg::Matrix;
 use obs::Obs;
 use rdrp::{MethodConfig, RoiMethod};
-use serve::protocol::{parse_request, render_error, render_scores, rows_to_matrix, WireError};
+use serve::protocol::{render_error, render_scores, rows_to_matrix, ScoreRequest, WireError};
 use serve::{
     run_session, EngineConfig, JsonlCodec, ModelRegistry, ScoringEngine, SessionLimits,
     DEFAULT_MODEL,
@@ -145,7 +145,8 @@ fn registry_serves_any_method_family_by_artifact_tag() {
 
 #[test]
 fn request_lines_parse_with_and_without_optional_fields() {
-    let full = parse_request(
+    let parse = tinyjson::from_str::<ScoreRequest>;
+    let full = parse(
         r#"{"id": "r1", "model": "m", "version": "7", "rows": [[1.0, 2.0]], "deadline_ms": 50}"#,
     )
     .unwrap();
@@ -155,17 +156,14 @@ fn request_lines_parse_with_and_without_optional_fields() {
     assert_eq!(full.rows, vec![vec![1.0, 2.0]]);
     assert_eq!(full.deadline_ms, Some(50.0));
 
-    let minimal = parse_request(r#"{"id": "r2", "rows": []}"#).unwrap();
+    let minimal = parse(r#"{"id": "r2", "rows": []}"#).unwrap();
     assert_eq!(minimal.id, "r2");
     assert_eq!(minimal.model, None);
     assert_eq!(minimal.version, None);
     assert_eq!(minimal.deadline_ms, None);
 
-    assert!(parse_request("not json").is_err());
-    assert!(
-        parse_request(r#"{"rows": [[1.0]]}"#).is_err(),
-        "id required"
-    );
+    assert!(parse("not json").is_err());
+    assert!(parse(r#"{"rows": [[1.0]]}"#).is_err(), "id required");
 }
 
 #[test]
